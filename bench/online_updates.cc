@@ -370,22 +370,18 @@ int RunFull() {
       n, cut, kCheckpoints);
 
   // Phase 1: fit the "updated" models on the base snapshot; clone each
-  // into its "stale" twin through the checkpoint roundtrip (identical
-  // starting state, by the checkpoint_roundtrip contract).
+  // into its "stale" twin in memory (identical starting state, bitwise
+  // the checkpoint roundtrip's by the CloneModel contract).
   const std::vector<std::string> names = kgrec::UpdatableMethodNames();
   std::vector<std::unique_ptr<kgrec::Recommender>> updated, stale;
   std::vector<FrontierRow> rows(names.size());
-  const std::string ckpt =
-      "/tmp/kgrec_online_" + std::to_string(static_cast<long>(getpid())) +
-      ".kgrc";
   for (size_t i = 0; i < names.size(); ++i) {
     rows[i].model = names[i];
     std::unique_ptr<kgrec::Recommender> model =
         kgrec::MakeRecommender(names[i]);
     model->Fit(live_ctx);
-    kgrec::Status status = model->Save(ckpt);
     std::unique_ptr<kgrec::Recommender> twin;
-    if (status.ok()) status = kgrec::LoadModel(live_ctx, ckpt, &twin);
+    const kgrec::Status status = kgrec::CloneModel(*model, live_ctx, &twin);
     if (!status.ok()) {
       std::fprintf(stderr, "%s: clone failed: %s\n", names[i].c_str(),
                    status.ToString().c_str());
@@ -394,7 +390,6 @@ int RunFull() {
     updated.push_back(std::move(model));
     stale.push_back(std::move(twin));
   }
-  std::remove(ckpt.c_str());
 
   // Phase 2: stream the prefix in checkpoint batches, leave-out events
   // removed. The world mutates once per checkpoint; every model then

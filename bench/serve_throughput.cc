@@ -1,4 +1,4 @@
-// Serving-layer load generator: Fit → Save → ServeHandle::Open → Router,
+// Serving-layer load generator: Fit → Save → LoadModel → Adopt → Router,
 // then open-loop traffic from several concurrent clients per model
 // family, with one hot swap (to a reload of the same checkpoint) in the
 // middle of the run. Reports achieved QPS and p50/p99 response latency,
@@ -92,13 +92,15 @@ LoadResult DriveFamily(const std::string& name,
     result.error = "save: " + saved.ToString();
     return result;
   }
-  std::shared_ptr<const ServeHandle> handle;
-  const kgrec::Status opened = ServeHandle::Open(ctx, path, 1, &handle);
-  if (!opened.ok()) {
-    result.error = "open: " + opened.ToString();
+  std::unique_ptr<kgrec::Recommender> loaded;
+  const kgrec::Status load = kgrec::LoadModel(ctx, path, &loaded);
+  if (!load.ok()) {
+    result.error = "load: " + load.ToString();
     std::remove(path.c_str());
     return result;
   }
+  const std::shared_ptr<const ServeHandle> handle =
+      ServeHandle::Adopt(std::move(loaded), ctx, 1);
 
   // Request patterns: a deterministic rotation of candidate windows, so
   // expected scores are precomputable per (user, pattern).

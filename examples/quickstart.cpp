@@ -126,23 +126,28 @@ int main() {
   // atomically flip the serving handle, and drain in-flight requests on
   // the old one. Responses carry the generation that served them, and
   // the scores stay bitwise identical to direct ScoreItems calls.
-  // (This model was trained under non-default hyper-parameters, so the
-  // handle restores into an explicitly-configured prototype; a checkpoint
-  // of a registry-default model opens without one.)
+  // A handle adopts a loaded model. This one was trained under
+  // non-default hyper-parameters, so it loads into an explicitly
+  // configured prototype; a checkpoint of a registry-default model loads
+  // with kgrec::LoadModel() instead.
+  const auto load_generation =
+      [&](uint64_t generation,
+          std::shared_ptr<const serve::ServeHandle>* out) -> Status {
+    auto prototype = std::make_unique<RippleNetRecommender>(model_config);
+    KGREC_RETURN_IF_ERROR(prototype->Load(ctx, path));
+    *out = serve::ServeHandle::Adopt(std::move(prototype), ctx, generation);
+    return Status::OK();
+  };
   std::shared_ptr<const serve::ServeHandle> handle;
-  status = serve::ServeHandle::Open(
-      ctx, path, std::make_unique<RippleNetRecommender>(model_config),
-      /*generation=*/1, &handle);
+  status = load_generation(/*generation=*/1, &handle);
   if (!status.ok()) {
-    std::printf("serve open failed: %s\n", status.ToString().c_str());
+    std::printf("serve load failed: %s\n", status.ToString().c_str());
     return 1;
   }
   serve::Router router({}, handle);
   serve::ScoreResponse before_swap = router.ScoreSync({user, top5});
   std::shared_ptr<const serve::ServeHandle> next_generation;
-  status = serve::ServeHandle::Open(
-      ctx, path, std::make_unique<RippleNetRecommender>(model_config),
-      /*generation=*/2, &next_generation);
+  status = load_generation(/*generation=*/2, &next_generation);
   if (status.ok()) status = router.Swap(next_generation);
   if (!status.ok()) {
     std::printf("hot swap failed: %s\n", status.ToString().c_str());

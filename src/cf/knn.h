@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/recommender.h"
-#include "math/dense.h"
 
 namespace kgrec {
 

@@ -7,8 +7,8 @@
 #include "core/check.h"
 #include "core/model_state.h"
 #include "data/event_stream.h"
-#include "math/dense.h"
 #include "math/kernels.h"
+#include "math/matrix.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -71,8 +71,8 @@ void MfRecommender::Fit(const RecContext& context) {
 }
 
 float MfRecommender::Score(int32_t user, int32_t item) const {
-  return dense::Dot(user_emb_.data() + user * config_.dim,
-                    item_emb_.data() + item * config_.dim, config_.dim);
+  return kernels::Dot(user_emb_.data() + user * config_.dim,
+                      item_emb_.data() + item * config_.dim, config_.dim);
 }
 
 std::vector<float> MfRecommender::ScoreItems(
@@ -149,7 +149,7 @@ void MfRecommender::FoldInteraction(int32_t user, int32_t item,
     // same loss Fit() minimizes, folded with plain SGD.
     {
       float* v = item_emb_.data() + item * d;
-      const float g = Sigmoid(dense::Dot(u, v, d)) - 1.0f;
+      const float g = Sigmoid(kernels::Dot(u, v, d)) - 1.0f;
       for (size_t c = 0; c < d; ++c) {
         const float uc = u[c];
         u[c] -= lr * (g * v[c] + l2 * uc);
@@ -158,7 +158,7 @@ void MfRecommender::FoldInteraction(int32_t user, int32_t item,
     }
     for (int k = 0; k < config_.negatives_per_positive; ++k) {
       float* v = item_emb_.data() + sampler.Sample(user, rng) * d;
-      const float g = Sigmoid(dense::Dot(u, v, d));
+      const float g = Sigmoid(kernels::Dot(u, v, d));
       for (size_t c = 0; c < d; ++c) {
         const float uc = u[c];
         u[c] -= lr * (g * v[c] + l2 * uc);
@@ -219,7 +219,7 @@ void BprMfRecommender::FoldInteraction(int32_t user, int32_t item,
   float* pos = item_emb_.data() + item * d;
   for (int pass = 0; pass < kFoldPasses; ++pass) {
     float* neg = item_emb_.data() + sampler.Sample(user, rng) * d;
-    const float margin = dense::Dot(u, pos, d) - dense::Dot(u, neg, d);
+    const float margin = kernels::Dot(u, pos, d) - kernels::Dot(u, neg, d);
     // d(-log sigmoid(margin)) / d margin.
     const float g = -Sigmoid(-margin);
     for (size_t c = 0; c < d; ++c) {

@@ -8,7 +8,7 @@
 
 #include "core/serialize.h"
 #include "core/status.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 #include "nn/tensor.h"
 
 namespace kgrec {

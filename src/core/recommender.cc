@@ -43,38 +43,53 @@ Status Recommender::FinishLoad(const RecContext& /*context*/) {
   return Status::OK();
 }
 
-Status Recommender::Save(const std::string& path) const {
+Status Recommender::PackState(CheckpointHeader* header,
+                              std::vector<NamedTensor>* tensors) const {
   StatePacker packer;
   // VisitState is shared between the pack and unpack directions, so it
   // takes mutable pointers; the packing visitor only reads through them.
   KGREC_RETURN_IF_ERROR(
       const_cast<Recommender*>(this)->VisitState(&packer));
-  CheckpointHeader header;
-  header.model_name = name();
-  header.fingerprint = HyperFingerprint();
-  return SaveCheckpoint(path, header, packer.TakeTensors());
+  header->model_name = name();
+  header->fingerprint = HyperFingerprint();
+  *tensors = packer.TakeTensors();
+  return Status::OK();
 }
 
-Status Recommender::Load(const RecContext& context, const std::string& path) {
-  CheckpointHeader header;
-  std::vector<NamedTensor> tensors;
-  KGREC_RETURN_IF_ERROR(LoadCheckpoint(path, &header, &tensors));
+Status Recommender::RestoreState(const RecContext& context,
+                                 const CheckpointHeader& header,
+                                 std::vector<NamedTensor> tensors,
+                                 const std::string& source) {
   if (header.model_name != name()) {
     return Status::FailedPrecondition(
         "checkpoint was saved by model '" + header.model_name +
-        "' but is being loaded into '" + name() + "': " + path);
+        "' but is being loaded into '" + name() + "': " + source);
   }
   if (header.fingerprint != HyperFingerprint()) {
     return Status::FailedPrecondition(
         "hyper-parameter fingerprint mismatch for '" + name() +
         "': checkpoint has [" + header.fingerprint + "], this instance has [" +
-        HyperFingerprint() + "]: " + path);
+        HyperFingerprint() + "]: " + source);
   }
   KGREC_RETURN_IF_ERROR(PrepareLoad(context));
   StateUnpacker unpacker(std::move(tensors));
   KGREC_RETURN_IF_ERROR(VisitState(&unpacker));
   KGREC_RETURN_IF_ERROR(unpacker.CheckFullyConsumed());
   return FinishLoad(context);
+}
+
+Status Recommender::Save(const std::string& path) const {
+  CheckpointHeader header;
+  std::vector<NamedTensor> tensors;
+  KGREC_RETURN_IF_ERROR(PackState(&header, &tensors));
+  return SaveCheckpoint(path, header, tensors);
+}
+
+Status Recommender::Load(const RecContext& context, const std::string& path) {
+  CheckpointHeader header;
+  std::vector<NamedTensor> tensors;
+  KGREC_RETURN_IF_ERROR(LoadCheckpoint(path, &header, &tensors));
+  return RestoreState(context, header, std::move(tensors), path);
 }
 
 }  // namespace kgrec

@@ -14,7 +14,9 @@
 namespace kgrec {
 
 class StateVisitor;
-struct EventBatch;  // data/event_stream.h
+struct CheckpointHeader;  // core/serialize.h
+struct NamedTensor;       // core/serialize.h
+struct EventBatch;        // data/event_stream.h
 
 /// Everything a model may consume at training time. Models use the
 /// subset they need: CF baselines read only `train`; embedding-based
@@ -78,23 +80,39 @@ class Recommender {
   /// batched override accelerates full-catalog ranking too.
   virtual std::vector<float> ScoreAll(int32_t user, int32_t num_items) const;
 
-  /// Serializes the fitted model to a KGRC checkpoint at `path` (typed
-  /// header naming the model, format version and hyper-parameter
-  /// fingerprint, followed by the model's learned state as a KGRT tensor
-  /// section). The write is atomic — a failed save never clobbers an
-  /// existing good checkpoint. Must be called after Fit().
+  /// Serializes the fitted model to a KGRC checkpoint at `path`: PackState
+  /// followed by SaveCheckpoint (core/serialize.h). The write is atomic —
+  /// a failed save never clobbers an existing good checkpoint. Must be
+  /// called after Fit().
   Status Save(const std::string& path) const;
 
-  /// Restores a model saved by Save() into this un-fitted instance. The
-  /// context must describe the same dataset the model was trained on:
-  /// derived state that is deterministically rebuildable (ripple sets,
-  /// path contexts, similarity lists, sampled neighborhoods) is
-  /// recomputed from it rather than stored, and the restored model's
-  /// ScoreItems() output is bitwise identical to the fitted one's
-  /// (enforced zoo-wide by bench/checkpoint_roundtrip and
-  /// registry_smoke_test). Refuses checkpoints whose model name, format
-  /// version or hyper-parameter fingerprint do not match.
+  /// Restores a model saved by Save() into this un-fitted instance:
+  /// LoadCheckpoint followed by RestoreState. The context must describe
+  /// the same dataset the model was trained on: derived state that is
+  /// deterministically rebuildable (ripple sets, path contexts,
+  /// similarity lists, sampled neighborhoods) is recomputed from it
+  /// rather than stored, and the restored model's ScoreItems() output is
+  /// bitwise identical to the fitted one's (enforced zoo-wide by
+  /// bench/checkpoint_roundtrip and registry_smoke_test). Refuses
+  /// checkpoints whose model name, format version or hyper-parameter
+  /// fingerprint do not match.
   Status Load(const RecContext& context, const std::string& path);
+
+  /// The pack half of Save(), with no file involved: fills `header`
+  /// (model name, hyper-parameter fingerprint) and `tensors` (the learned
+  /// state named by VisitState). Must be called after Fit().
+  Status PackState(CheckpointHeader* header,
+                   std::vector<NamedTensor>* tensors) const;
+
+  /// The restore half of Load(): refuses a header naming another model
+  /// or fingerprint with FailedPrecondition, then runs PrepareLoad,
+  /// unpacks `tensors` through VisitState (every tensor must be
+  /// consumed) and runs FinishLoad. `source` names where the state came
+  /// from (a path, or a clone) in error messages.
+  Status RestoreState(const RecContext& context,
+                      const CheckpointHeader& header,
+                      std::vector<NamedTensor> tensors,
+                      const std::string& source);
 
   /// Deterministic "key=value;..." rendering of the hyper-parameters,
   /// stored in the checkpoint header and compared on Load so a
@@ -126,9 +144,9 @@ class Recommender {
   virtual bool SupportsUpdate() const { return false; }
 
  protected:
-  /// Names every piece of learned state for Save (pack) and Load
-  /// (unpack); see StateVisitor (core/model_state.h). State rebuildable
-  /// from the RecContext belongs in PrepareLoad/FinishLoad instead.
+  /// Names every piece of learned state for PackState and RestoreState;
+  /// see StateVisitor (core/model_state.h). State rebuildable from the
+  /// RecContext belongs in PrepareLoad/FinishLoad instead.
   virtual Status VisitState(StateVisitor* visitor);
 
   /// Load step 1, before the state is unpacked: rebuild derived

@@ -224,18 +224,44 @@ std::unique_ptr<Recommender> MakeRecommender(const std::string& name) {
   return nullptr;
 }
 
-Status LoadModel(const RecContext& context, const std::string& path,
-                 std::unique_ptr<Recommender>* out) {
-  CheckpointHeader header;
-  KGREC_RETURN_IF_ERROR(ReadCheckpointHeader(path, &header));
+namespace {
+
+/// Restores `tensors` into a fresh registry instance of the model that
+/// `header` names; shared by LoadModel and CloneModel.
+Status RestoreRegistered(const RecContext& context,
+                         const CheckpointHeader& header,
+                         std::vector<NamedTensor> tensors,
+                         const std::string& source,
+                         std::unique_ptr<Recommender>* out) {
   std::unique_ptr<Recommender> model = MakeRecommender(header.model_name);
   if (model == nullptr) {
     return Status::InvalidArgument(
-        "checkpoint names unknown model '" + header.model_name + "': " + path);
+        "checkpoint names unknown model '" + header.model_name + "': " +
+        source);
   }
-  KGREC_RETURN_IF_ERROR(model->Load(context, path));
+  KGREC_RETURN_IF_ERROR(
+      model->RestoreState(context, header, std::move(tensors), source));
   *out = std::move(model);
   return Status::OK();
+}
+
+}  // namespace
+
+Status LoadModel(const RecContext& context, const std::string& path,
+                 std::unique_ptr<Recommender>* out) {
+  CheckpointHeader header;
+  std::vector<NamedTensor> tensors;
+  KGREC_RETURN_IF_ERROR(LoadCheckpoint(path, &header, &tensors));
+  return RestoreRegistered(context, header, std::move(tensors), path, out);
+}
+
+Status CloneModel(const Recommender& model, const RecContext& context,
+                  std::unique_ptr<Recommender>* out) {
+  CheckpointHeader header;
+  std::vector<NamedTensor> tensors;
+  KGREC_RETURN_IF_ERROR(model.PackState(&header, &tensors));
+  return RestoreRegistered(context, header, std::move(tensors),
+                           "in-memory clone of '" + model.name() + "'", out);
 }
 
 std::vector<std::string> ImplementedMethodNames() {

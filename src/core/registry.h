@@ -48,8 +48,8 @@ std::unique_ptr<Recommender> MakeRecommender(const std::string& name);
 /// Names of all implemented methods, in Table 3 order.
 std::vector<std::string> ImplementedMethodNames();
 
-/// Reconstructs a recommender from a KGRC checkpoint: peeks the typed
-/// header, builds the concrete type named there (with its registry
+/// Reconstructs a recommender from a KGRC checkpoint: reads the file
+/// once, builds the concrete type its header names (with the registry
 /// default hyper-parameters) and restores it against `context`, which
 /// must describe the dataset the checkpoint was trained on. Fails with a
 /// descriptive Status — never a crash or a silently wrong model — when
@@ -57,6 +57,17 @@ std::vector<std::string> ImplementedMethodNames();
 /// mismatched format version or hyper-parameter fingerprint.
 Status LoadModel(const RecContext& context, const std::string& path,
                  std::unique_ptr<Recommender>* out);
+
+/// In-memory copy of a fitted `model`: its packed state restored into a
+/// fresh registry instance of the same name against `context` (the
+/// dataset `model` was fitted or loaded under). No file is involved, and
+/// the copy scores bitwise like LoadModel of the same model's checkpoint.
+/// Fails like LoadModel: InvalidArgument for a name the registry cannot
+/// construct, FailedPrecondition for a model trained under non-registry
+/// hyper-parameters or one without checkpoint support. `*out` is
+/// untouched on failure.
+Status CloneModel(const Recommender& model, const RecContext& context,
+                  std::unique_ptr<Recommender>* out);
 
 const char* UsageTypeName(UsageType usage);
 

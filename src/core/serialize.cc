@@ -8,8 +8,6 @@
 namespace kgrec {
 namespace {
 
-constexpr char kMagic[4] = {'K', 'G', 'R', 'T'};
-constexpr uint32_t kVersion = 1;
 constexpr char kCheckpointMagic[4] = {'K', 'G', 'R', 'C'};
 
 struct FileCloser {
@@ -27,8 +25,7 @@ bool ReadBytes(std::FILE* f, void* data, size_t size) {
   return std::fread(data, 1, size, f) == size;
 }
 
-/// Writes the count + entry sequence shared by KGRT archives and the
-/// tensor section of KGRC checkpoints.
+/// Writes the count + entry sequence of a checkpoint's tensor section.
 Status WriteTensorSection(std::FILE* f, const std::string& path,
                           const std::vector<NamedTensor>& tensors) {
   const uint32_t count = static_cast<uint32_t>(tensors.size());
@@ -54,11 +51,12 @@ Status WriteTensorSection(std::FILE* f, const std::string& path,
   return Status::OK();
 }
 
+/// Reads the tensor section written by WriteTensorSection.
 Status ReadTensorSection(std::FILE* f, const std::string& path,
                          std::vector<NamedTensor>* tensors) {
   uint32_t count = 0;
   if (!ReadBytes(f, &count, sizeof(count))) {
-    return Status::IoError("truncated archive: " + path);
+    return Status::IoError("truncated checkpoint: " + path);
   }
   tensors->clear();
   for (uint32_t i = 0; i < count; ++i) {
@@ -66,32 +64,32 @@ Status ReadTensorSection(std::FILE* f, const std::string& path,
     uint32_t name_len = 0;
     uint64_t rows = 0, cols = 0;
     if (!ReadBytes(f, &name_len, sizeof(name_len))) {
-      return Status::IoError("truncated archive: " + path);
+      return Status::IoError("truncated checkpoint: " + path);
     }
     if (name_len > 4096) {
-      return Status::InvalidArgument("corrupt archive (name too long)");
+      return Status::InvalidArgument("corrupt checkpoint (name too long)");
     }
     t.name.resize(name_len);
     if (!ReadBytes(f, t.name.data(), name_len) ||
         !ReadBytes(f, &rows, sizeof(rows)) ||
         !ReadBytes(f, &cols, sizeof(cols))) {
-      return Status::IoError("truncated archive: " + path);
+      return Status::IoError("truncated checkpoint: " + path);
     }
     // Checked via division: `rows * cols` itself can wrap uint64 for a
     // corrupt header (e.g. rows = cols = 2^33) and sneak past a guard on
     // the product with a tiny bogus allocation.
     constexpr uint64_t kMaxElements = 1ull << 32;
     if (cols != 0 && rows > kMaxElements / cols) {
-      return Status::InvalidArgument("corrupt archive (blob too large)");
+      return Status::InvalidArgument("corrupt checkpoint (blob too large)");
     }
     if (rows * cols > kMaxElements) {
-      return Status::InvalidArgument("corrupt archive (blob too large)");
+      return Status::InvalidArgument("corrupt checkpoint (blob too large)");
     }
     t.rows = rows;
     t.cols = cols;
     t.data.resize(rows * cols);
     if (!ReadBytes(f, t.data.data(), t.data.size() * sizeof(float))) {
-      return Status::IoError("truncated archive: " + path);
+      return Status::IoError("truncated checkpoint: " + path);
     }
     tensors->push_back(std::move(t));
   }
@@ -102,7 +100,7 @@ Status ReadTensorSection(std::FILE* f, const std::string& path,
 /// flushes, closes (checking both) and renames over `path`. Any failure
 /// removes the temporary and leaves a pre-existing file at `path`
 /// untouched, so a reported OK means the bytes are durably at `path` and
-/// an error means the previous archive (if any) is still intact.
+/// an error means the previous checkpoint (if any) is still intact.
 template <typename WriteBody>
 Status AtomicWrite(const std::string& path, const WriteBody& write_body) {
   const std::string tmp = path + ".tmp";
@@ -130,39 +128,6 @@ Status AtomicWrite(const std::string& path, const WriteBody& write_body) {
   }
   return Status::OK();
 }
-
-}  // namespace
-
-Status SaveTensorArchive(const std::string& path,
-                         const std::vector<NamedTensor>& tensors) {
-  return AtomicWrite(path, [&](std::FILE* f) -> Status {
-    if (!WriteBytes(f, kMagic, sizeof(kMagic)) ||
-        !WriteBytes(f, &kVersion, sizeof(kVersion))) {
-      return Status::IoError("write failed: " + path);
-    }
-    return WriteTensorSection(f, path, tensors);
-  });
-}
-
-Status LoadTensorArchive(const std::string& path,
-                         std::vector<NamedTensor>* tensors) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  char magic[4];
-  uint32_t version = 0;
-  if (!ReadBytes(f.get(), magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a KGRT archive: " + path);
-  }
-  if (!ReadBytes(f.get(), &version, sizeof(version)) || version != kVersion) {
-    return Status::InvalidArgument("unsupported KGRT version");
-  }
-  return ReadTensorSection(f.get(), path, tensors);
-}
-
-namespace {
 
 /// Reads and validates the KGRC magic + typed header, leaving the stream
 /// positioned at the tensor section.
@@ -230,15 +195,6 @@ Status LoadCheckpoint(const std::string& path, CheckpointHeader* header,
   }
   KGREC_RETURN_IF_ERROR(ReadHeaderFrom(f.get(), path, header));
   return ReadTensorSection(f.get(), path, tensors);
-}
-
-Status ReadCheckpointHeader(const std::string& path,
-                            CheckpointHeader* header) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  return ReadHeaderFrom(f.get(), path, header);
 }
 
 std::vector<NamedTensor> SnapshotParams(

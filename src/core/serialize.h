@@ -6,37 +6,20 @@
 #include <vector>
 
 #include "core/status.h"
-#include "math/dense.h"
 #include "nn/tensor.h"
 
 namespace kgrec {
 
-/// Binary tensor archive ("KGRT" format): persists a list of named,
-/// shaped float blobs. Used to checkpoint trained models (KGE tables,
-/// embedding matrices) across processes.
-///
-/// Layout: magic "KGRT", uint32 version, uint32 count, then per entry:
-/// uint32 name length + bytes, uint64 rows, uint64 cols, rows*cols
-/// little-endian floats.
+/// One named, shaped float blob of a model's learned state. A list of
+/// these, under a CheckpointHeader, is the one serialized form of model
+/// state: Save/Load write and read it as a ".kgrc" file, and CloneModel
+/// (core/registry.h) hands it from one instance to another in memory.
 struct NamedTensor {
   std::string name;
   size_t rows = 0;
   size_t cols = 0;
   std::vector<float> data;
 };
-
-/// Writes the archive; overwrites any existing file. The write is
-/// atomic: bytes go to "<path>.tmp" and are renamed over `path` only
-/// after a verified flush + close, so a crash mid-write or a failed
-/// flush (disk full) can neither leave a torn archive at `path` nor
-/// clobber a previous good one.
-Status SaveTensorArchive(const std::string& path,
-                         const std::vector<NamedTensor>& tensors);
-
-/// Reads the archive. Fails with IoError / InvalidArgument on missing or
-/// corrupt files.
-Status LoadTensorArchive(const std::string& path,
-                         std::vector<NamedTensor>* tensors);
 
 /// Current version of the model-checkpoint container format ("KGRC").
 inline constexpr uint32_t kCheckpointFormatVersion = 1;
@@ -52,11 +35,17 @@ struct CheckpointHeader {
   uint32_t format_version = kCheckpointFormatVersion;
 };
 
-/// Model checkpoint ("KGRC" format): the typed header followed by a KGRT
+/// Model checkpoint ("KGRC" format): the typed header followed by the
 /// tensor section. Layout: magic "KGRC", uint32 format version, uint32
-/// name length + bytes, uint32 fingerprint length + bytes, then the same
-/// count + entry sequence as a KGRT archive. Writes are atomic like
-/// SaveTensorArchive.
+/// name length + bytes, uint32 fingerprint length + bytes, uint32 tensor
+/// count, then per tensor: uint32 name length + bytes, uint64 rows,
+/// uint64 cols, rows*cols little-endian floats. Fails with
+/// InvalidArgument when a tensor's data does not match its shape.
+///
+/// The write is atomic: bytes go to "<path>.tmp" and are renamed over
+/// `path` only after a verified flush + close, so a crash mid-write or a
+/// failed flush (disk full) can neither leave a torn checkpoint at
+/// `path` nor clobber a previous good one.
 Status SaveCheckpoint(const std::string& path, const CheckpointHeader& header,
                       const std::vector<NamedTensor>& tensors);
 
@@ -64,10 +53,6 @@ Status SaveCheckpoint(const std::string& path, const CheckpointHeader& header,
 /// InvalidArgument on missing, truncated, corrupt or wrong-version files.
 Status LoadCheckpoint(const std::string& path, CheckpointHeader* header,
                       std::vector<NamedTensor>* tensors);
-
-/// Reads only the typed header (cheap peek used by LoadModel to decide
-/// which concrete type to construct before restoring).
-Status ReadCheckpointHeader(const std::string& path, CheckpointHeader* header);
 
 /// Convenience: snapshots a list of parameters (e.g. KgeModel::Params())
 /// with names "param_0", "param_1", ...

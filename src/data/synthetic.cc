@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "core/check.h"
+#include "math/kernels.h"
 #include "math/kmeans.h"
 #include "math/topk.h"
 
@@ -22,7 +23,7 @@ Matrix RelationView(const Matrix& item_factors, float alignment, Rng& rng) {
     projection.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0 / std::sqrt(d)));
   }
   Matrix view(n, d);
-  dense::MatMul(item_factors.data(), projection.data(), view.data(), n, d, d);
+  kernels::MatMul(item_factors.data(), projection.data(), view.data(), n, d, d);
   const float noise_scale = 1.5f * (1.0f - alignment);
   for (size_t i = 0; i < view.size(); ++i) {
     view.data()[i] = alignment * view.data()[i] +
@@ -84,8 +85,8 @@ SyntheticWorld GenerateWorld(const WorldConfig& config) {
         // Link to the nearest `links_per_item` centroids.
         std::vector<float> neg_dist(clusters);
         for (size_t c = 0; c < clusters; ++c) {
-          neg_dist[c] = -dense::SquaredDistance(view.Row(j),
-                                                km.centroids.Row(c), d);
+          neg_dist[c] = -kernels::SquaredDistance(view.Row(j),
+                                                  km.centroids.Row(c), d);
         }
         for (int32_t c : TopKIndices(neg_dist, spec.links_per_item)) {
           KGREC_CHECK(world.item_kg.AddTriple(j, rel, values[c]).ok());
@@ -115,8 +116,8 @@ SyntheticWorld GenerateWorld(const WorldConfig& config) {
     // items, yielding implicit feedback that follows the latent model.
     std::vector<float> perturbed(n);
     for (int32_t j = 0; j < n; ++j) {
-      const float affinity = dense::Dot(world.user_factors.Row(u),
-                                        world.item_factors.Row(j), d);
+      const float affinity = kernels::Dot(world.user_factors.Row(u),
+                                          world.item_factors.Row(j), d);
       double uniform = 0.0;
       do {
         uniform = rng.Uniform();

@@ -7,7 +7,7 @@
 #include "data/interactions.h"
 #include "graph/hin.h"
 #include "graph/knowledge_graph.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 
 namespace kgrec {
 

@@ -5,7 +5,7 @@
 
 #include "core/recommender.h"
 #include "kge/kge_model.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 #include "retrieval/factors.h"
 
 namespace kgrec {

@@ -181,7 +181,7 @@ Status CkeRecommender::Update(const RecContext& context,
     for (int pass = 0; pass < kFoldPasses; ++pass) {
       float* neg = item_vecs_.Row(sampler.Sample(e.user, rng));
       const float margin =
-          dense::Dot(u, pos, d) - dense::Dot(u, neg, d);
+          kernels::Dot(u, pos, d) - kernels::Dot(u, neg, d);
       const float g = -Sigmoid(-margin);  // BPR gradient, as in Fit()
       for (size_t c = 0; c < d; ++c) {
         const float uc = u[c];
@@ -212,8 +212,8 @@ Status CkeRecommender::VisitState(StateVisitor* visitor) {
 }
 
 float CkeRecommender::Score(int32_t user, int32_t item) const {
-  return dense::Dot(user_vecs_.Row(user), item_vecs_.Row(item),
-                    user_vecs_.cols());
+  return kernels::Dot(user_vecs_.Row(user), item_vecs_.Row(item),
+                      user_vecs_.cols());
 }
 
 std::vector<float> CkeRecommender::ScoreItems(

@@ -6,7 +6,7 @@
 
 #include "core/recommender.h"
 #include "kge/kge_model.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 #include "nn/tensor.h"
 #include "retrieval/factors.h"
 

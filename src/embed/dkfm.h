@@ -2,7 +2,6 @@
 #define KGREC_EMBED_DKFM_H_
 
 #include "core/recommender.h"
-#include "math/dense.h"
 #include "nn/layers.h"
 #include "nn/tensor.h"
 

@@ -5,6 +5,7 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
+#include "math/kernels.h"
 
 namespace kgrec {
 
@@ -76,9 +77,9 @@ void Entity2RecRecommender::Fit(const RecContext& context) {
 }
 
 float Entity2RecRecommender::Score(int32_t user, int32_t item) const {
-  return dense::CosineSimilarity(in_emb_.Row(graph_->UserEntity(user)),
-                                 in_emb_.Row(graph_->ItemEntity(item)),
-                                 in_emb_.cols());
+  return kernels::CosineSimilarity(in_emb_.Row(graph_->UserEntity(user)),
+                                   in_emb_.Row(graph_->ItemEntity(item)),
+                                   in_emb_.cols());
 }
 
 std::string Entity2RecRecommender::HyperFingerprint() const {

@@ -2,7 +2,7 @@
 #define KGREC_EMBED_ENTITY2REC_H_
 
 #include "core/recommender.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 
 namespace kgrec {
 

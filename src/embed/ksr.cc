@@ -6,6 +6,7 @@
 #include "core/check.h"
 #include "core/model_state.h"
 #include "kge/kge_trainer.h"
+#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -85,7 +86,7 @@ void KsrRecommender::Fit(const RecContext& context) {
   for (size_t slot = 0; slot < static_cast<size_t>(m) * num_relations_;
        ++slot) {
     if (counts[slot] > 0) {
-      dense::Scale(memory_.Row(slot), d, 1.0f / counts[slot]);
+      kernels::Scale(memory_.Row(slot), d, 1.0f / counts[slot]);
     }
   }
 

@@ -6,6 +6,7 @@
 #include "core/check.h"
 #include "core/model_state.h"
 #include "data/synthetic.h"
+#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -228,8 +229,8 @@ float KtganRecommender::Score(int32_t user, int32_t item) const {
   const size_t d = config_.dim;
   // G's refined score function ranks the recommendations (the paper's
   // prediction stage uses p_theta).
-  return dense::Dot(g_user_emb_.data() + user * d,
-                    g_item_emb_.data() + item * d, d);
+  return kernels::Dot(g_user_emb_.data() + user * d,
+                      g_item_emb_.data() + item * d, d);
 }
 
 }  // namespace kgrec

@@ -5,7 +5,7 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "math/dense.h"
+#include "math/kernels.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -195,7 +195,7 @@ float MkrRecommender::Score(int32_t user, int32_t item) const {
   nn::Tensor v = Cross(nn::Gather(item_emb_, items),
                        nn::Gather(entity_emb_, items), nullptr);
   const size_t d = config_.dim;
-  return dense::Dot(user_emb_.data() + user * d, v.data(), d);
+  return kernels::Dot(user_emb_.data() + user * d, v.data(), d);
 }
 
 }  // namespace kgrec

@@ -2,7 +2,7 @@
 #define KGREC_EMBED_SED_H_
 
 #include "core/recommender.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 
 namespace kgrec {
 

@@ -7,10 +7,10 @@
 namespace kgrec {
 
 /// Shared vectorized kernel layer. Every dense inner loop in the library
-/// (dense::*, the nn/ops.cc forward/backward closures, the batched
-/// ScoreItems fast paths) routes through these entry points, so there is
-/// exactly one implementation — and one numerical specification — of each
-/// hot loop.
+/// (the Matrix-based models and generators, the nn/ops.cc
+/// forward/backward closures, the batched ScoreItems fast paths) calls
+/// these entry points directly, so there is exactly one implementation —
+/// and one numerical specification — of each hot loop.
 ///
 /// # The fixed-block accumulation contract
 ///

@@ -4,6 +4,7 @@
 
 #include "core/check.h"
 #include "core/thread_pool.h"
+#include "math/kernels.h"
 
 namespace kgrec {
 
@@ -23,8 +24,8 @@ KMeansResult KMeans(const Matrix& points, size_t k, int max_iters, Rng& rng) {
   for (size_t j = 0; j < d; ++j) result.centroids.At(0, j) = points.At(first, j);
   for (size_t c = 1; c < k; ++c) {
     for (size_t i = 0; i < n; ++i) {
-      double dist = dense::SquaredDistance(points.Row(i),
-                                           result.centroids.Row(c - 1), d);
+      double dist = kernels::SquaredDistance(points.Row(i),
+                                             result.centroids.Row(c - 1), d);
       if (dist < min_dist[i]) min_dist[i] = dist;
     }
     std::vector<double> weights(min_dist.begin(), min_dist.end());
@@ -43,7 +44,7 @@ KMeansResult KMeans(const Matrix& points, size_t k, int max_iters, Rng& rng) {
       int32_t best_c = 0;
       for (size_t c = 0; c < k; ++c) {
         float dist =
-            dense::SquaredDistance(points.Row(i), result.centroids.Row(c), d);
+            kernels::SquaredDistance(points.Row(i), result.centroids.Row(c), d);
         if (dist < best) {
           best = dist;
           best_c = static_cast<int32_t>(c);
@@ -61,11 +62,11 @@ KMeansResult KMeans(const Matrix& points, size_t k, int max_iters, Rng& rng) {
     for (size_t i = 0; i < n; ++i) {
       const int32_t c = result.assignment[i];
       ++counts[c];
-      dense::Axpy(1.0f, points.Row(i), result.centroids.Row(c), d);
+      kernels::Axpy(1.0f, points.Row(i), result.centroids.Row(c), d);
     }
     for (size_t c = 0; c < k; ++c) {
       if (counts[c] > 0) {
-        dense::Scale(result.centroids.Row(c), d, 1.0f / counts[c]);
+        kernels::Scale(result.centroids.Row(c), d, 1.0f / counts[c]);
       } else {
         // Re-seed an empty cluster at a random point.
         size_t pick = rng.UniformInt(n);
@@ -104,7 +105,7 @@ KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
     const Status status = ParallelFor(
         n, num_threads, [&](size_t begin, size_t end) -> Status {
           for (size_t i = begin; i < end; ++i) {
-            const double dist = dense::SquaredDistance(
+            const double dist = kernels::SquaredDistance(
                 points.Row(i), result.centroids.Row(c - 1), d);
             if (dist < min_dist[i]) min_dist[i] = dist;
           }
@@ -134,7 +135,7 @@ KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
             float best = std::numeric_limits<float>::max();
             int32_t best_c = 0;
             for (size_t c = 0; c < k; ++c) {
-              const float dist = dense::SquaredDistance(
+              const float dist = kernels::SquaredDistance(
                   points.Row(i), result.centroids.Row(c), d);
               if (dist < best) {
                 best = dist;
@@ -159,11 +160,11 @@ KMeansResult KMeansDeterministic(const Matrix& points, size_t k,
     for (size_t i = 0; i < n; ++i) {
       const int32_t c = result.assignment[i];
       ++counts[c];
-      dense::Axpy(1.0f, points.Row(i), result.centroids.Row(c), d);
+      kernels::Axpy(1.0f, points.Row(i), result.centroids.Row(c), d);
     }
     for (size_t c = 0; c < k; ++c) {
       if (counts[c] > 0) {
-        dense::Scale(result.centroids.Row(c), d, 1.0f / counts[c]);
+        kernels::Scale(result.centroids.Row(c), d, 1.0f / counts[c]);
       } else {
         // Deterministic empty-cluster reseed from the iteration/cluster
         // counter stream.

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "math/dense.h"
+#include "math/matrix.h"
 #include "math/rng.h"
 
 namespace kgrec {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
+#include "math/kernels.h"
 
 namespace kgrec {
 
@@ -38,7 +39,7 @@ NmfResult Nmf(const CsrMatrix& matrix, size_t rank, int iterations,
     Matrix& u = out.user_factors;
     Matrix& v = out.item_factors;
     // U <- U * (R V) / (U V^T V)
-    dense::MatMul(r.data(), v.data(), num_u.data(), m, n, rank);
+    kernels::MatMul(r.data(), v.data(), num_u.data(), m, n, rank);
     // gram = V^T V.
     for (size_t a = 0; a < rank; ++a) {
       for (size_t b = 0; b < rank; ++b) {
@@ -47,7 +48,7 @@ NmfResult Nmf(const CsrMatrix& matrix, size_t rank, int iterations,
         gram.At(a, b) = acc;
       }
     }
-    dense::MatMul(u.data(), gram.data(), denom.data(), m, rank, rank);
+    kernels::MatMul(u.data(), gram.data(), denom.data(), m, rank, rank);
     for (size_t i = 0; i < u.size(); ++i) {
       u.data()[i] *= num_u.data()[i] / (denom.data()[i] + kEps);
     }
@@ -67,7 +68,7 @@ NmfResult Nmf(const CsrMatrix& matrix, size_t rank, int iterations,
       }
     }
     Matrix denom_v(n, rank);
-    dense::MatMul(v.data(), gram.data(), denom_v.data(), n, rank, rank);
+    kernels::MatMul(v.data(), gram.data(), denom_v.data(), n, rank, rank);
     for (size_t i = 0; i < v.size(); ++i) {
       v.data()[i] *= num_v.data()[i] / (denom_v.data()[i] + kEps);
     }

@@ -1,7 +1,7 @@
 #ifndef KGREC_MATH_NMF_H_
 #define KGREC_MATH_NMF_H_
 
-#include "math/dense.h"
+#include "math/matrix.h"
 #include "math/rng.h"
 #include "math/sparse.h"
 

@@ -121,8 +121,8 @@ void HERecRecommender::Fit(const RecContext& context) {
       if (history.empty()) continue;
       float* profile = path_user_profile_[l].Row(u);
       for (int32_t j : history) {
-        dense::Axpy(1.0f / history.size(), path_item_emb_[l].Row(j), profile,
-                    d);
+        kernels::Axpy(1.0f / history.size(), path_item_emb_[l].Row(j), profile,
+                      d);
       }
     }
   }
@@ -179,8 +179,8 @@ std::vector<float> HERecRecommender::PairFeatures(int32_t user,
                                                   int32_t item) const {
   std::vector<float> out(path_item_emb_.size());
   for (size_t l = 0; l < path_item_emb_.size(); ++l) {
-    out[l] = dense::Dot(path_user_profile_[l].Row(user),
-                        path_item_emb_[l].Row(item), config_.dim);
+    out[l] = kernels::Dot(path_user_profile_[l].Row(user),
+                          path_item_emb_[l].Row(item), config_.dim);
   }
   return out;
 }
@@ -217,8 +217,8 @@ Status HERecRecommender::PrepareLoad(const RecContext& context) {
 
 float HERecRecommender::Score(int32_t user, int32_t item) const {
   const size_t d = config_.dim;
-  float score = dense::Dot(user_emb_.data() + user * d,
-                           item_emb_.data() + item * d, d);
+  float score = kernels::Dot(user_emb_.data() + user * d,
+                             item_emb_.data() + item * d, d);
   const std::vector<float> features = PairFeatures(user, item);
   for (size_t l = 0; l < features.size(); ++l) {
     score += path_weights_[l] * features[l];

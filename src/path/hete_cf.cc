@@ -6,8 +6,8 @@
 #include "core/check.h"
 #include "core/model_state.h"
 #include "graph/pathsim.h"
-#include "math/dense.h"
 #include "math/kernels.h"
+#include "math/matrix.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -169,8 +169,8 @@ Status HeteCfRecommender::VisitState(StateVisitor* visitor) {
 
 float HeteCfRecommender::Score(int32_t user, int32_t item) const {
   const size_t d = user_emb_.cols();
-  return dense::Dot(user_emb_.data() + user * d, item_emb_.data() + item * d,
-                    d);
+  return kernels::Dot(user_emb_.data() + user * d, item_emb_.data() + item * d,
+                      d);
 }
 
 std::vector<float> HeteCfRecommender::ScoreItems(

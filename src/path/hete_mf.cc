@@ -5,8 +5,8 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "math/dense.h"
 #include "math/kernels.h"
+#include "math/matrix.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -110,8 +110,8 @@ Status HeteMfRecommender::VisitState(StateVisitor* visitor) {
 
 float HeteMfRecommender::Score(int32_t user, int32_t item) const {
   const size_t d = user_emb_.cols();
-  return dense::Dot(user_emb_.data() + user * d, item_emb_.data() + item * d,
-                    d);
+  return kernels::Dot(user_emb_.data() + user * d, item_emb_.data() + item * d,
+                      d);
 }
 
 std::vector<float> HeteMfRecommender::ScoreItems(

@@ -6,6 +6,7 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
+#include "math/kernels.h"
 #include "math/kmeans.h"
 #include "math/nmf.h"
 #include "path/metapaths.h"
@@ -57,8 +58,8 @@ void HeteRecRecommender::Fit(const RecContext& context) {
       float total = 0.0f;
       for (size_t k = 0; k < c; ++k) {
         const float sim = std::max(
-            0.0f, dense::CosineSimilarity(profiles.Row(u), centroids.Row(k),
-                                          profiles.cols()));
+            0.0f, kernels::CosineSimilarity(profiles.Row(u), centroids.Row(k),
+                                            profiles.cols()));
         membership_[u][k] = sim;
         total += sim;
       }
@@ -106,8 +107,8 @@ std::vector<float> HeteRecRecommender::PairFeatures(int32_t user,
                                                     int32_t item) const {
   std::vector<float> out(user_factors_.size());
   for (size_t l = 0; l < user_factors_.size(); ++l) {
-    out[l] = dense::Dot(user_factors_[l].Row(user),
-                        item_factors_[l].Row(item), config_.rank);
+    out[l] = kernels::Dot(user_factors_[l].Row(user),
+                          item_factors_[l].Row(item), config_.rank);
   }
   return out;
 }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/recommender.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 
 namespace kgrec {
 

@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "math/dense.h"
+#include "math/matrix.h"
 
 namespace kgrec {
 namespace retrieval {

@@ -1,15 +1,12 @@
 #include "serve/router.h"
 
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
-
-#include "core/check.h"
-#include "core/registry.h"
 #include <exception>
 #include <unordered_map>
 #include <utility>
+
+#include "core/check.h"
+#include "core/registry.h"
 
 namespace kgrec::serve {
 namespace {
@@ -340,10 +337,10 @@ Status Router::SwapFromCheckpoint(const RecContext& context,
   }
   // The load runs without the router lock: traffic keeps flowing on the
   // old handle for however long the checkpoint takes to restore.
-  std::shared_ptr<const ServeHandle> fresh;
-  KGREC_RETURN_IF_ERROR(
-      ServeHandle::Open(context, path, next_generation, &fresh));
-  return SwapLocked(std::move(fresh));
+  std::unique_ptr<Recommender> model;
+  KGREC_RETURN_IF_ERROR(LoadModel(context, path, &model));
+  return SwapLocked(
+      ServeHandle::Adopt(std::move(model), context, next_generation));
 }
 
 Status Router::SwapFromUpdate(const RecContext& restore_context,
@@ -357,21 +354,10 @@ Status Router::SwapFromUpdate(const RecContext& restore_context,
     live = current_;
     next_generation = current_->generation() + 1;
   }
-  // Clone the live model through its own checkpoint round-trip, off the
-  // router lock — traffic keeps flowing on the old handle for however
-  // long the save + restore + fold takes.
-  const std::string temp_path = "/tmp/kgrec_swap_" +
-                                std::to_string(getpid()) + "_" +
-                                std::to_string(next_generation) + ".kgrc";
-  Status status = live->model().Save(temp_path);
-  if (!status.ok()) {
-    std::remove(temp_path.c_str());
-    return status;
-  }
+  // Clone the live model in memory, off the router lock — traffic keeps
+  // flowing on the old handle for however long the clone + fold takes.
   std::unique_ptr<Recommender> clone;
-  status = LoadModel(restore_context, temp_path, &clone);
-  std::remove(temp_path.c_str());
-  KGREC_RETURN_IF_ERROR(status);
+  KGREC_RETURN_IF_ERROR(CloneModel(live->model(), restore_context, &clone));
   KGREC_RETURN_IF_ERROR(clone->Update(update_context, batch));
   return SwapLocked(ServeHandle::Adopt(std::move(clone), update_context,
                                        next_generation));

@@ -154,22 +154,25 @@ class Router {
   /// automatically.
   Status Swap(std::shared_ptr<const ServeHandle> fresh);
 
-  /// Loads the checkpoint at `path` (current generation + 1), then
-  /// Swap()s it in. On load failure the old handle keeps serving and the
-  /// load Status is returned.
+  /// Loads the checkpoint at `path` with LoadModel, Adopt()s it under the
+  /// kAuto spec (current generation + 1), then Swap()s it in. On load
+  /// failure the old handle keeps serving and the load Status is
+  /// returned.
   Status SwapFromCheckpoint(const RecContext& context,
                             const std::string& path);
 
   /// Applies an online Update (DESIGN §13) to a *copy* of the live
   /// model, then Swap()s the updated copy in (current generation + 1).
-  /// The copy is made through the model's own checkpoint round-trip:
-  /// Save to a temp file, restore against `restore_context` — the
-  /// PRE-batch world the live model was fitted under, so the stored
+  /// The copy is made in memory by CloneModel (core/registry.h) — the
+  /// model's packed checkpoint state restored against `restore_context`,
+  /// the PRE-batch world the live model was fitted under, so the stored
   /// shapes match — then Update(update_context, batch) against the
-  /// POST-batch world. Everything runs off the router lock: traffic
-  /// keeps flowing on the old handle throughout, and any failure
-  /// (save, load, kUnimplemented from a non-updatable model) leaves it
-  /// serving untouched and returns the Status.
+  /// POST-batch world. No file is written, so routers in one process
+  /// never share state. Everything runs off the router lock: traffic
+  /// keeps flowing on the old handle throughout, and any failure (a
+  /// model the registry cannot clone, kUnimplemented from a
+  /// non-updatable model) leaves it serving untouched and returns the
+  /// Status.
   Status SwapFromUpdate(const RecContext& restore_context,
                         const RecContext& update_context,
                         const EventBatch& batch);

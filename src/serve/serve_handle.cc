@@ -76,47 +76,13 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
   return Status::InvalidArgument("RetrievalSpec: unknown mode");
 }
 
-Status ServeHandle::Open(const RecContext& context, const std::string& path,
-                         uint64_t generation,
-                         std::shared_ptr<const ServeHandle>* out) {
-  return Open(context, path, generation, RetrievalSpec{}, out);
-}
-
-Status ServeHandle::Open(const RecContext& context, const std::string& path,
-                         uint64_t generation, const RetrievalSpec& spec,
-                         std::shared_ptr<const ServeHandle>* out) {
-  std::unique_ptr<Recommender> model;
-  KGREC_RETURN_IF_ERROR(LoadModel(context, path, &model));
-  // std::shared_ptr cannot reach the private constructor through
-  // make_shared; the extra allocation is once per checkpoint load.
-  std::shared_ptr<ServeHandle> handle(
-      new ServeHandle(std::move(model), context, generation));
-  KGREC_RETURN_IF_ERROR(handle->BuildRetrieval(spec));
-  *out = std::move(handle);
-  return Status::OK();
-}
-
-Status ServeHandle::Open(const RecContext& context, const std::string& path,
-                         std::unique_ptr<Recommender> prototype,
-                         uint64_t generation,
-                         std::shared_ptr<const ServeHandle>* out) {
-  KGREC_CHECK(prototype != nullptr);
-  KGREC_RETURN_IF_ERROR(prototype->Load(context, path));
-  std::shared_ptr<ServeHandle> handle(
-      new ServeHandle(std::move(prototype), context, generation));
-  KGREC_RETURN_IF_ERROR(handle->BuildRetrieval(RetrievalSpec{}));
-  *out = std::move(handle);
-  return Status::OK();
-}
-
 std::shared_ptr<const ServeHandle> ServeHandle::Adopt(
     std::unique_ptr<const Recommender> model, const RecContext& context,
     uint64_t generation) {
-  KGREC_CHECK(model != nullptr);
-  std::shared_ptr<ServeHandle> handle(
-      new ServeHandle(std::move(model), context, generation));
+  std::shared_ptr<const ServeHandle> handle;
   // kAuto cannot fail: it only indexes models that export factors.
-  const Status status = handle->BuildRetrieval(RetrievalSpec{});
+  const Status status = Adopt(std::move(model), context, generation,
+                              RetrievalSpec{}, &handle);
   KGREC_CHECK(status.ok());
   return handle;
 }
@@ -126,6 +92,8 @@ Status ServeHandle::Adopt(std::unique_ptr<const Recommender> model,
                           const RetrievalSpec& spec,
                           std::shared_ptr<const ServeHandle>* out) {
   KGREC_CHECK(model != nullptr);
+  // std::shared_ptr cannot reach the private constructor through
+  // make_shared; the extra allocation is once per handle.
   std::shared_ptr<ServeHandle> handle(
       new ServeHandle(std::move(model), context, generation));
   KGREC_RETURN_IF_ERROR(handle->BuildRetrieval(spec));

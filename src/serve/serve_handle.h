@@ -61,44 +61,24 @@ struct RetrievalSpec {
 /// members or const_cast (see DESIGN §9), any number of threads may call
 /// into one handle concurrently with no locking.
 ///
-/// Handles are created once (from a checkpoint via Open(), or by adopting
-/// an already-fitted model via Adopt()) and never modified; "updating" a
-/// serving process means building a *new* handle and atomically swapping
-/// it in (see Router). They are therefore always held as
-/// `std::shared_ptr<const ServeHandle>`: an in-flight request keeps its
-/// generation of the model alive however quickly the router moves on.
+/// Handles are created once, by adopting a fitted or loaded model via
+/// Adopt(), and never modified; "updating" a serving process means
+/// building a *new* handle and atomically swapping it in (see Router).
+/// They are therefore always held as `std::shared_ptr<const
+/// ServeHandle>`: an in-flight request keeps its generation of the model
+/// alive however quickly the router moves on.
 class ServeHandle {
  public:
-  /// Loads the checkpoint at `path` via LoadModel() and wraps it.
-  /// `generation` is an opaque tag stamped into every response served from
-  /// this handle (the Router assigns consecutive generations; standalone
-  /// users may pass anything). Fails with the LoadModel() Status — missing
-  /// file, unknown model, fingerprint mismatch, truncation — without
-  /// touching `*out`.
-  static Status Open(const RecContext& context, const std::string& path,
-                     uint64_t generation,
-                     std::shared_ptr<const ServeHandle>* out);
-
-  /// Same, but restores into a caller-constructed un-fitted `prototype` —
-  /// the path for models trained under non-registry hyper-parameters,
-  /// whose checkpoints LoadModel() (correctly) refuses to restore into a
-  /// default-config instance. The usual Load() guards still apply: a
-  /// wrong model class or stale fingerprint fails with Status.
-  static Status Open(const RecContext& context, const std::string& path,
-                     std::unique_ptr<Recommender> prototype,
-                     uint64_t generation,
-                     std::shared_ptr<const ServeHandle>* out);
-
-  /// Loads the checkpoint and builds the requested retrieval structure
-  /// (index / two-stage) before the handle is published. Fails with the
-  /// LoadModel() Status or with FailedPrecondition when the spec demands
-  /// a factorization the model does not export.
-  static Status Open(const RecContext& context, const std::string& path,
-                     uint64_t generation, const RetrievalSpec& spec,
-                     std::shared_ptr<const ServeHandle>* out);
-
-  /// Wraps a model that was fitted (or loaded) in-process. The context
-  /// supplies the catalog size; the handle takes ownership of the model.
+  /// Wraps a fitted model under the default kAuto retrieval spec, which
+  /// cannot fail. The model comes from Fit() in-process, from a
+  /// checkpoint via LoadModel() (core/registry.h), or — for models
+  /// trained under non-registry hyper-parameters, whose checkpoints
+  /// LoadModel() refuses — from Load() into a caller-constructed
+  /// instance of the matching config. The context supplies the catalog
+  /// size; the handle takes ownership of the model. `generation` is an
+  /// opaque tag stamped into every response served from this handle (the
+  /// Router assigns consecutive generations; standalone users may pass
+  /// anything).
   static std::shared_ptr<const ServeHandle> Adopt(
       std::unique_ptr<const Recommender> model, const RecContext& context,
       uint64_t generation);

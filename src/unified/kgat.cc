@@ -204,9 +204,9 @@ Status KgatRecommender::PrepareLoad(const RecContext& context) {
 }
 
 float KgatRecommender::Score(int32_t user, int32_t item) const {
-  return dense::Dot(final_emb_.Row(graph_->UserEntity(user)),
-                    final_emb_.Row(graph_->ItemEntity(item)),
-                    final_emb_.cols());
+  return kernels::Dot(final_emb_.Row(graph_->UserEntity(user)),
+                      final_emb_.Row(graph_->ItemEntity(item)),
+                      final_emb_.cols());
 }
 
 std::vector<float> KgatRecommender::ScoreItems(
@@ -214,7 +214,7 @@ std::vector<float> KgatRecommender::ScoreItems(
   // The shared batched-dot kernel replaces the private SSE2 block this
   // method used to carry: every output is a fixed-block Dot of the user
   // row against one candidate row, so it stays bitwise equal to Score(),
-  // which routes through the same kernel via dense::Dot.
+  // calls kernels::Dot.
   const float* u = final_emb_.Row(graph_->UserEntity(user));
   std::vector<const float*> rows(items.size());
   for (size_t i = 0; i < items.size(); ++i) {

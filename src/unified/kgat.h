@@ -5,7 +5,7 @@
 
 #include "core/recommender.h"
 #include "graph/aggregators.h"
-#include "math/dense.h"
+#include "math/matrix.h"
 #include "nn/tensor.h"
 #include "retrieval/factors.h"
 

@@ -8,6 +8,7 @@
 #include "data/interactions.h"
 #include "data/presets.h"
 #include "data/synthetic.h"
+#include "math/kernels.h"
 
 namespace kgrec {
 namespace {
@@ -255,8 +256,8 @@ TEST(SyntheticWorld, KgCarriesPreferenceSignal) {
   const size_t d = world.config.latent_dim;
   for (int32_t a = 0; a < 80; ++a) {
     for (int32_t b = a + 1; b < 80; ++b) {
-      const float cos = dense::CosineSimilarity(world.item_factors.Row(a),
-                                                world.item_factors.Row(b), d);
+      const float cos = kernels::CosineSimilarity(world.item_factors.Row(a),
+                                                  world.item_factors.Row(b), d);
       if (genre_of[a] == genre_of[b]) {
         same += cos;
         ++same_n;

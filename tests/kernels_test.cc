@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "math/dense.h"
 #include "math/kernels.h"
+#include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/gradcheck.h"
 #include "nn/init.h"
@@ -178,7 +178,6 @@ TEST(Kernels, CosineSimilarityZeroVectorGuard) {
   EXPECT_BITEQ(kernels::CosineSimilarity(zero.data(), v.data(), 16), 0.0f);
   EXPECT_BITEQ(kernels::CosineSimilarity(v.data(), zero.data(), 16), 0.0f);
   EXPECT_BITEQ(kernels::CosineSimilarity(zero.data(), zero.data(), 16), 0.0f);
-  EXPECT_BITEQ(dense::CosineSimilarity(zero.data(), v.data(), 16), 0.0f);
   // Identical vectors: cosine is dot/(|v|*|v|), within float rounding of 1.
   EXPECT_NEAR(kernels::CosineSimilarity(v.data(), v.data(), 16), 1.0f, 1e-6f);
 }
@@ -229,7 +228,7 @@ TEST(Kernels, MatMulFamilyBitwiseMatchesRef) {
   }
 }
 
-// dense::MatMul dropped its `if (av == 0.0f) continue;` micro-opt: a
+// MatMul dropped its `if (av == 0.0f) continue;` micro-opt: a
 // skipped 0 * x add is observable when x is non-finite. Lock the IEEE
 // semantics in so the skip cannot quietly return.
 TEST(Kernels, MatMulZeroTimesInfIsNan) {
@@ -239,9 +238,6 @@ TEST(Kernels, MatMulZeroTimesInfIsNan) {
   std::vector<float> c(1, -7.0f);
   kernels::MatMul(a.data(), b.data(), c.data(), 1, 2, 1);
   EXPECT_TRUE(std::isnan(c[0])) << "0 * inf must reach the accumulator";
-  c[0] = -7.0f;
-  dense::MatMul(a.data(), b.data(), c.data(), 1, 2, 1);
-  EXPECT_TRUE(std::isnan(c[0]));
 }
 
 TEST(Kernels, TranscendentalMapsBitwiseMatchRefAndFormula) {
@@ -286,22 +282,6 @@ TEST(Kernels, SoftmaxRowsBitwiseMatchesRefAndNormalizes) {
       EXPECT_NEAR(sum, 1.0f, 1e-5f);
     }
   }
-}
-
-// dense::* now delegates to the kernels — spot-check the seams.
-TEST(Kernels, DenseDelegatesToKernels) {
-  Rng rng(20);
-  const size_t n = 37;
-  const std::vector<float> a = RandomVec(n, rng);
-  const std::vector<float> b = RandomVec(n, rng);
-  EXPECT_BITEQ(dense::Dot(a.data(), b.data(), n),
-               kernels::Dot(a.data(), b.data(), n));
-  EXPECT_BITEQ(dense::SquaredDistance(a.data(), b.data(), n),
-               kernels::SquaredDistance(a.data(), b.data(), n));
-  EXPECT_BITEQ(dense::CosineSimilarity(a.data(), b.data(), n),
-               kernels::CosineSimilarity(a.data(), b.data(), n));
-  EXPECT_BITEQ(dense::Norm2(a.data(), n),
-               std::sqrt(kernels::Dot(a.data(), a.data(), n)));
 }
 
 // The ops rewired onto tiled kernels must still pass finite-difference

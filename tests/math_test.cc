@@ -7,8 +7,9 @@
 #include <cmath>
 #include <numeric>
 
-#include "math/dense.h"
+#include "math/kernels.h"
 #include "math/kmeans.h"
+#include "math/matrix.h"
 #include "math/nmf.h"
 #include "math/rng.h"
 #include "math/sparse.h"
@@ -95,12 +96,12 @@ TEST(Rng, ShufflePreservesElements) {
 TEST(Dense, DotAxpyNorm) {
   const float a[] = {1, 2, 3};
   float b[] = {4, 5, 6};
-  EXPECT_FLOAT_EQ(dense::Dot(a, b, 3), 32.0f);
-  dense::Axpy(2.0f, a, b, 3);
+  EXPECT_FLOAT_EQ(kernels::Dot(a, b, 3), 32.0f);
+  kernels::Axpy(2.0f, a, b, 3);
   EXPECT_FLOAT_EQ(b[0], 6.0f);
   EXPECT_FLOAT_EQ(b[2], 12.0f);
-  EXPECT_FLOAT_EQ(dense::Norm2(a, 3), std::sqrt(14.0f));
-  EXPECT_FLOAT_EQ(dense::SquaredDistance(a, a, 3), 0.0f);
+  EXPECT_FLOAT_EQ(std::sqrt(kernels::Dot(a, a, 3)), std::sqrt(14.0f));
+  EXPECT_FLOAT_EQ(kernels::SquaredDistance(a, a, 3), 0.0f);
 }
 
 TEST(Dense, MatMulAgainstHand) {
@@ -108,14 +109,14 @@ TEST(Dense, MatMulAgainstHand) {
   const float a[] = {1, 2, 3, 4};
   const float b[] = {5, 6, 7, 8};
   float c[4];
-  dense::MatMul(a, b, c, 2, 2, 2);
+  kernels::MatMul(a, b, c, 2, 2, 2);
   EXPECT_FLOAT_EQ(c[0], 19.0f);
   EXPECT_FLOAT_EQ(c[1], 22.0f);
   EXPECT_FLOAT_EQ(c[2], 43.0f);
   EXPECT_FLOAT_EQ(c[3], 50.0f);
   // A * B^T with B stored row-major as (n x k).
   float d[4];
-  dense::MatMulTransposeB(a, b, d, 2, 2, 2);
+  kernels::MatMulTransposeB(a, b, d, 2, 2, 2);
   EXPECT_FLOAT_EQ(d[0], 1 * 5 + 2 * 6);
   EXPECT_FLOAT_EQ(d[1], 1 * 7 + 2 * 8);
 }
@@ -125,9 +126,9 @@ TEST(Dense, CosineSimilarity) {
   const float b[] = {0, 1};
   const float c[] = {2, 0};
   const float zero[] = {0, 0};
-  EXPECT_FLOAT_EQ(dense::CosineSimilarity(a, b, 2), 0.0f);
-  EXPECT_FLOAT_EQ(dense::CosineSimilarity(a, c, 2), 1.0f);
-  EXPECT_FLOAT_EQ(dense::CosineSimilarity(a, zero, 2), 0.0f);
+  EXPECT_FLOAT_EQ(kernels::CosineSimilarity(a, b, 2), 0.0f);
+  EXPECT_FLOAT_EQ(kernels::CosineSimilarity(a, c, 2), 1.0f);
+  EXPECT_FLOAT_EQ(kernels::CosineSimilarity(a, zero, 2), 0.0f);
 }
 
 TEST(Sparse, FromTripletsMergesDuplicates) {
@@ -228,7 +229,7 @@ TEST(Nmf, ReconstructsLowRankMatrix) {
   std::vector<std::tuple<int32_t, int32_t, float>> triplets;
   for (int32_t i = 0; i < 8; ++i) {
     for (int32_t j = 0; j < 6; ++j) {
-      triplets.emplace_back(i, j, dense::Dot(u.Row(i), v.Row(j), 2));
+      triplets.emplace_back(i, j, kernels::Dot(u.Row(i), v.Row(j), 2));
     }
   }
   CsrMatrix r = CsrMatrix::FromTriplets(8, 6, triplets);
@@ -236,8 +237,8 @@ TEST(Nmf, ReconstructsLowRankMatrix) {
   double err = 0.0, total = 0.0;
   for (int32_t i = 0; i < 8; ++i) {
     for (int32_t j = 0; j < 6; ++j) {
-      const float approx = dense::Dot(nmf.user_factors.Row(i),
-                                      nmf.item_factors.Row(j), 2);
+      const float approx = kernels::Dot(nmf.user_factors.Row(i),
+                                        nmf.item_factors.Row(j), 2);
       err += std::fabs(approx - r.At(i, j));
       total += r.At(i, j);
     }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -191,6 +192,14 @@ TEST_P(RegistrySmoke, SaveLoadRoundtripIsBitwise) {
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->name(), fitted->name());
 
+  // CloneModel restores the same packed state with no file involved, and
+  // must score bit for bit like the file round-trip.
+  std::unique_ptr<Recommender> clone;
+  const Status cloned = CloneModel(*fitted, w.Context(), &clone);
+  ASSERT_TRUE(cloned.ok()) << GetParam() << ": " << cloned.message();
+  ASSERT_NE(clone, nullptr);
+  EXPECT_EQ(clone->name(), fitted->name());
+
   // The serve path must be bitwise identical to the fitted model's —
   // derived state (ripple sets, path contexts, sampled neighborhoods,
   // beam caches) is recomputed on load, and any divergence there shows
@@ -199,10 +208,15 @@ TEST_P(RegistrySmoke, SaveLoadRoundtripIsBitwise) {
   for (int32_t user : {0, 7, 39}) {
     const std::vector<float> before = fitted->ScoreItems(user, candidates);
     const std::vector<float> after = restored->ScoreItems(user, candidates);
+    const std::vector<float> copied = clone->ScoreItems(user, candidates);
     ASSERT_EQ(before.size(), after.size());
+    ASSERT_EQ(after.size(), copied.size());
     for (size_t i = 0; i < before.size(); ++i) {
       EXPECT_EQ(before[i], after[i])
           << GetParam() << " diverges after restore at user " << user
+          << " candidate " << candidates[i];
+      EXPECT_EQ(std::memcmp(&after[i], &copied[i], sizeof(float)), 0)
+          << GetParam() << " diverges after CloneModel at user " << user
           << " candidate " << candidates[i];
     }
   }

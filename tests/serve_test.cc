@@ -78,10 +78,10 @@ std::string TempCheckpoint(const std::string& tag) {
   return std::string(::testing::TempDir()) + "/serve_" + file + ".kgrc";
 }
 
-/// Fits `name` on the shared world, checkpoints it, and opens a handle
-/// from the checkpoint. Returns the still-live fitted model through
-/// `fitted` for bitwise comparisons.
-std::shared_ptr<const ServeHandle> FitSaveOpen(
+/// Fits `name` on the shared world, checkpoints it, restores it with
+/// LoadModel and adopts the restored model into a handle. Returns the
+/// still-live fitted model through `fitted` for bitwise comparisons.
+std::shared_ptr<const ServeHandle> FitSaveLoad(
     const std::string& name, uint64_t generation,
     std::unique_ptr<Recommender>* fitted) {
   ServeWorld& w = SharedWorld();
@@ -90,20 +90,20 @@ std::shared_ptr<const ServeHandle> FitSaveOpen(
   model->Fit(w.Context());
   const std::string path = TempCheckpoint(name);
   EXPECT_TRUE(model->Save(path).ok()) << name;
-  std::shared_ptr<const ServeHandle> handle;
-  const Status opened =
-      ServeHandle::Open(w.Context(), path, generation, &handle);
-  EXPECT_TRUE(opened.ok()) << name << ": " << opened.ToString();
+  std::unique_ptr<Recommender> loaded;
+  const Status status = LoadModel(w.Context(), path, &loaded);
+  EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
   std::remove(path.c_str());
   if (fitted != nullptr) *fitted = std::move(model);
-  return handle;
+  if (loaded == nullptr) return nullptr;
+  return ServeHandle::Adopt(std::move(loaded), w.Context(), generation);
 }
 
 // ---- ServeHandle ------------------------------------------------------
 
-TEST(ServeHandle, OpenFromCheckpointServesBitwise) {
+TEST(ServeHandle, LoadedCheckpointServesBitwise) {
   std::unique_ptr<Recommender> fitted;
-  std::shared_ptr<const ServeHandle> handle = FitSaveOpen("MF", 5, &fitted);
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("MF", 5, &fitted);
   ASSERT_NE(handle, nullptr);
   EXPECT_EQ(handle->model_name(), "MF");
   EXPECT_EQ(handle->generation(), 5u);
@@ -121,15 +121,15 @@ TEST(ServeHandle, OpenFromCheckpointServesBitwise) {
   }
 }
 
-TEST(ServeHandle, OpenMissingCheckpointReturnsStatus) {
-  std::shared_ptr<const ServeHandle> handle;
-  const Status status = ServeHandle::Open(
-      SharedWorld().Context(), "/nonexistent/dir/model.kgrc", 1, &handle);
+TEST(ServeHandle, MissingCheckpointReturnsStatus) {
+  std::unique_ptr<Recommender> model;
+  const Status status = LoadModel(SharedWorld().Context(),
+                                  "/nonexistent/dir/model.kgrc", &model);
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(handle, nullptr);
+  EXPECT_EQ(model, nullptr);  // nothing to adopt
 }
 
-TEST(ServeHandle, OpenWrongHyperparametersReturnsStatus) {
+TEST(ServeHandle, WrongHyperparametersReturnsStatus) {
   // A checkpoint written under non-registry hyper-parameters must be
   // refused by the serve path with FailedPrecondition, exactly like a
   // direct LoadModel — never served with garbage weights.
@@ -140,16 +140,17 @@ TEST(ServeHandle, OpenWrongHyperparametersReturnsStatus) {
   custom.Fit(w.Context());
   const std::string path = TempCheckpoint("wrong_hypers");
   ASSERT_TRUE(custom.Save(path).ok());
-  std::shared_ptr<const ServeHandle> handle;
-  const Status status = ServeHandle::Open(w.Context(), path, 1, &handle);
+  std::unique_ptr<Recommender> model;
+  const Status status = LoadModel(w.Context(), path, &model);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(handle, nullptr);
+  EXPECT_EQ(model, nullptr);  // nothing to adopt
   std::remove(path.c_str());
 }
 
-TEST(ServeHandle, OpenWithPrototypeServesCustomHyperparameters) {
+TEST(ServeHandle, PrototypeLoadServesCustomHyperparameters) {
   // The escape hatch for the test above: a caller-constructed prototype
-  // with the matching config restores and serves the same checkpoint.
+  // with the matching config loads the same checkpoint, and the handle
+  // adopting it serves it bitwise.
   ServeWorld& w = SharedWorld();
   MfConfig config;
   config.dim = 8;
@@ -157,10 +158,11 @@ TEST(ServeHandle, OpenWithPrototypeServesCustomHyperparameters) {
   custom.Fit(w.Context());
   const std::string path = TempCheckpoint("prototype");
   ASSERT_TRUE(custom.Save(path).ok());
-  std::shared_ptr<const ServeHandle> handle;
-  const Status status = ServeHandle::Open(
-      w.Context(), path, std::make_unique<MfRecommender>(config), 3, &handle);
+  auto prototype = std::make_unique<MfRecommender>(config);
+  const Status status = prototype->Load(w.Context(), path);
   ASSERT_TRUE(status.ok()) << status.ToString();
+  std::shared_ptr<const ServeHandle> handle =
+      ServeHandle::Adopt(std::move(prototype), w.Context(), 3);
   EXPECT_EQ(handle->generation(), 3u);
   const std::vector<int32_t> items{0, 20, 39};
   EXPECT_EQ(handle->ScoreItems(8, items), custom.ScoreItems(8, items));
@@ -181,7 +183,7 @@ TEST(ServeHandle, AdoptServesFittedModel) {
 
 TEST(ServeHandle, RecommendMatchesScoreAllTopK) {
   std::unique_ptr<Recommender> fitted;
-  std::shared_ptr<const ServeHandle> handle = FitSaveOpen("MF", 1, &fitted);
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("MF", 1, &fitted);
   const std::vector<float> all = fitted->ScoreAll(6, handle->num_items());
   const auto expected = TopKScored(all, 5);
   const auto got = handle->Recommend(6, 5);
@@ -208,7 +210,7 @@ TEST(ServeHandle, RecommendMatchesScoreAllTopK) {
 TEST(ServeRouter, RoundTripBitwise) {
   std::unique_ptr<Recommender> fitted;
   std::shared_ptr<const ServeHandle> handle =
-      FitSaveOpen("RippleNet", 1, &fitted);
+      FitSaveLoad("RippleNet", 1, &fitted);
   RouterConfig config;
   config.num_threads = 2;
   Router router(config, handle);
@@ -247,7 +249,7 @@ TEST(ServeRouter, BatchedVsDirectAcrossFamilies) {
                                           "RippleNet"};
   for (const std::string& name : families) {
     std::unique_ptr<Recommender> fitted;
-    std::shared_ptr<const ServeHandle> handle = FitSaveOpen(name, 1, &fitted);
+    std::shared_ptr<const ServeHandle> handle = FitSaveLoad(name, 1, &fitted);
     RouterConfig config;
     config.num_threads = 2;
     Router router(config, handle);
@@ -312,7 +314,7 @@ TEST(ServeRouter, SwapFlipsGenerationAndModel) {
 
 TEST(ServeRouter, FailedSwapKeepsOldHandleServing) {
   std::unique_ptr<Recommender> fitted;
-  std::shared_ptr<const ServeHandle> handle = FitSaveOpen("MF", 1, &fitted);
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("MF", 1, &fitted);
   Router router({}, handle);
 
   const Status bad = router.SwapFromCheckpoint(SharedWorld().Context(),
@@ -431,7 +433,7 @@ TEST(ServeRouter, SplitsCoalescedResponsesCorrectly) {
   // Same shape as above, but against a real model so the split points of
   // the concatenated ScoreItems result are checked bitwise.
   std::unique_ptr<Recommender> fitted;
-  std::shared_ptr<const ServeHandle> handle = FitSaveOpen("CKE", 1, &fitted);
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("CKE", 1, &fitted);
   RouterConfig config;
   config.num_threads = 1;
   Router router(config, handle);
@@ -456,7 +458,7 @@ TEST(ServeRouter, SplitsCoalescedResponsesCorrectly) {
 
 TEST(ServeRouter, DestructorDeliversEveryAdmittedRequest) {
   std::unique_ptr<Recommender> fitted;
-  std::shared_ptr<const ServeHandle> handle = FitSaveOpen("MF", 1, &fitted);
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("MF", 1, &fitted);
   std::vector<std::future<ScoreResponse>> futures;
   {
     RouterConfig config;

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstring>
+#include <deque>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cf/mf.h"
 #include "core/recommender.h"
 #include "core/registry.h"
 #include "data/event_stream.h"
@@ -71,6 +75,39 @@ void ExpectScoresBitwise(const Recommender& a, const Recommender& b,
     }
   }
 }
+
+/// Every world state of a stream cut into equal batches: state b is the
+/// base world plus batches 0..b-1, so SwapFromUpdate(Context(b),
+/// Context(b + 1), batches[b]) folds batch b. Deques keep each state's
+/// address stable for the RecContexts pointing at it.
+struct WorldChain {
+  std::deque<InteractionDataset> train;
+  std::deque<KnowledgeGraph> kg;
+  std::deque<UserItemGraph> uig;
+  std::vector<EventBatch> batches;
+
+  WorldChain(const EventStream& stream, size_t num_batches) {
+    train.push_back(stream.BaseInteractions());
+    kg.push_back(stream.BaseItemKg());
+    uig.push_back(stream.BaseUserItemGraph());
+    const size_t n = stream.size();
+    for (size_t b = 0; b < num_batches; ++b) {
+      batches.push_back(
+          stream.Batch(b * n / num_batches, (b + 1) * n / num_batches));
+      train.push_back(train.back());
+      kg.push_back(kg.back());
+      uig.push_back(uig.back());
+      stream.ApplyBatch(batches.back(), &train.back(), &kg.back());
+      stream.ApplyBatchToUserItemGraph(batches.back(), &uig.back());
+    }
+  }
+
+  RecContext Context(size_t state, uint64_t seed) const {
+    RecContext ctx = MakeContext(train[state], kg[state], uig[state]);
+    ctx.seed = seed;
+    return ctx;
+  }
+};
 
 // ---------------------------------------------------------------------
 // Event stream: replay == from-scratch build, and stream shape.
@@ -544,6 +581,117 @@ TEST(SwapFromUpdate, NonUpdatableModelLeavesOldHandleServing) {
   EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
   EXPECT_EQ(router.current()->generation(), 1u);  // old handle untouched
   EXPECT_EQ(router.Stats().swaps, 0u);
+}
+
+TEST(SwapFromUpdate, NonRegistryConfigCloneFailsAndOldGenerationServes) {
+  // The in-memory clone restores into a registry-default instance, so a
+  // model trained under another config is refused with
+  // FailedPrecondition — and the router keeps serving the old generation.
+  const EventStream stream(TinyStreamConfig());
+  const WorldChain world(stream, 1);
+  const RecContext base_ctx = world.Context(0, 17);
+  MfConfig config;
+  config.dim = 8;  // registry default is 16
+  auto custom = std::make_unique<MfRecommender>(config);
+  custom->Fit(base_ctx);
+  std::unique_ptr<Recommender> clone;
+  EXPECT_EQ(CloneModel(*custom, base_ctx, &clone).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(clone, nullptr);
+
+  const std::vector<int32_t> items{0, 7, 19};
+  const std::vector<float> before = custom->ScoreItems(3, items);
+  serve::RouterConfig router_config;
+  router_config.num_threads = 1;
+  serve::Router router(router_config,
+                       serve::ServeHandle::Adopt(std::move(custom),
+                                                 base_ctx, 1));
+  const Status status = router.SwapFromUpdate(
+      base_ctx, world.Context(1, 17), world.batches[0]);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(router.current()->generation(), 1u);
+  EXPECT_EQ(router.Stats().swaps, 0u);
+  const serve::ScoreResponse response = router.ScoreSync({3, items});
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_EQ(response.generation, 1u);
+  EXPECT_EQ(std::memcmp(response.scores.data(), before.data(),
+                        before.size() * sizeof(float)),
+            0);
+}
+
+TEST(SwapFromUpdate, ConcurrentRoutersMatchTheirOwnSerialChains) {
+  // Two routers in one process fold the same batches into models fitted
+  // under different seeds, swapping the same generation at the same
+  // time. The clone behind each swap is in memory, so neither router can
+  // see the other's state: each must end bitwise on its own serial
+  // Fit -> Update(b1..bn) chain.
+  constexpr size_t kBatches = 4;
+  const EventStream stream(TinyStreamConfig());
+  struct Lane {
+    uint64_t seed;
+    WorldChain world;
+    std::unique_ptr<Recommender> reference;
+    std::unique_ptr<serve::Router> router;
+    Status status;
+  };
+  std::vector<Lane> lanes;
+  for (const uint64_t seed : {uint64_t{17}, uint64_t{29}}) {
+    lanes.push_back({seed, WorldChain(stream, kBatches), nullptr, nullptr,
+                     Status::OK()});
+  }
+  serve::RouterConfig config;
+  config.num_threads = 1;
+  for (Lane& lane : lanes) {
+    lane.reference = MakeRecommender("CKE");
+    lane.reference->Fit(lane.world.Context(0, lane.seed));
+    for (size_t b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(lane.reference
+                      ->Update(lane.world.Context(b + 1, lane.seed),
+                               lane.world.batches[b])
+                      .ok());
+    }
+    std::unique_ptr<Recommender> serving = MakeRecommender("CKE");
+    serving->Fit(lane.world.Context(0, lane.seed));
+    lane.router = std::make_unique<serve::Router>(
+        config, serve::ServeHandle::Adopt(std::move(serving),
+                                          lane.world.Context(0, lane.seed),
+                                          1));
+  }
+
+  // The latch starts both swap loops together; the barrier keeps them in
+  // lockstep, so every generation is built by both routers at once.
+  std::latch start(static_cast<std::ptrdiff_t>(lanes.size()));
+  std::barrier step(static_cast<std::ptrdiff_t>(lanes.size()));
+  std::vector<std::thread> swappers;
+  for (Lane& lane : lanes) {
+    swappers.emplace_back([&lane, &start, &step] {
+      start.arrive_and_wait();
+      for (size_t b = 0; b < kBatches; ++b) {
+        const Status status = lane.router->SwapFromUpdate(
+            lane.world.Context(b, lane.seed),
+            lane.world.Context(b + 1, lane.seed), lane.world.batches[b]);
+        if (lane.status.ok()) lane.status = status;
+        step.arrive_and_wait();
+      }
+    });
+  }
+  for (std::thread& t : swappers) t.join();
+
+  const int32_t num_users = stream.total_num_users();
+  const int32_t num_items = stream.num_items();
+  for (const Lane& lane : lanes) {
+    ASSERT_TRUE(lane.status.ok()) << lane.status.ToString();
+    const std::shared_ptr<const serve::ServeHandle> handle =
+        lane.router->current();
+    EXPECT_EQ(handle->generation(), 1u + kBatches);
+    ExpectScoresBitwise(handle->model(), *lane.reference, num_users,
+                        num_items);
+  }
+  // The seeds give the two chains different weights, so a router serving
+  // the other router's state would fail the check above.
+  const std::vector<int32_t> items{0, 5, 11};
+  EXPECT_NE(lanes[0].reference->ScoreItems(1, items),
+            lanes[1].reference->ScoreItems(1, items));
 }
 
 }  // namespace
