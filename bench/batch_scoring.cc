@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/mem_stats.h"
 #include "core/recommender.h"
 #include "core/registry.h"
 #include "data/presets.h"
@@ -143,8 +142,8 @@ int main(int argc, char** argv) {
               "speedup", "bitwise");
   kgrec::bench::PrintRule(60);
 
-  bool all_bitwise = true;
-  std::vector<std::string> json_rows;
+  kgrec::bench::Report report("batch_scoring", smoke);
+  report.Metric("candidates_per_user", candidates_per_user);
   for (const std::string& name : names) {
     std::unique_ptr<kgrec::Recommender> model = kgrec::MakeRecommender(name);
     if (model == nullptr) {
@@ -155,17 +154,13 @@ int main(int argc, char** argv) {
     const RowResult row =
         TimeModel(*model, config.num_users, config.num_items,
                   candidates_per_user, probe_users);
-    all_bitwise = all_bitwise && row.bitwise;
     std::printf("%-14s %12.4f %12.4f %8.2fx %9s\n", name.c_str(), row.loop_s,
                 row.batched_s, row.loop_s / row.batched_s,
                 row.bitwise ? "yes" : "NO — BUG");
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("model", name)
-                            .Field("loop_seconds", row.loop_s)
-                            .Field("batched_seconds", row.batched_s)
-                            .Field("speedup", row.loop_s / row.batched_s)
-                            .Field("bitwise", row.bitwise)
-                            .str());
+    report.Gate(name + "/bitwise", row.bitwise);
+    report.Timing(name + "/loop_seconds", row.loop_s);
+    report.Timing(name + "/batched_seconds", row.batched_s);
+    report.Timing(name + "/speedup", row.loop_s / row.batched_s);
   }
   kgrec::bench::PrintRule(60);
   std::printf(
@@ -173,16 +168,5 @@ int main(int argc, char** argv) {
       "ScoreItems(u, items)[i] == Score(u, items[i]) exactly. The speedup\n"
       "is algorithmic (per-user ripple/receptive-field/path state hoisted\n"
       "out of the candidate loop) and holds on a single core.\n");
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_batch_scoring.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "batch_scoring")
-          .Field("mode", smoke ? "smoke" : "full")
-          .Field("candidates_per_user", candidates_per_user)
-          .Field("bitwise", all_bitwise)
-          .Field("peak_rss_bytes", kgrec::PeakRssBytes())
-          .Field("pass", all_bitwise)
-          .Raw("rows", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  return all_bitwise ? 0 : 1;
+  return report.Finish();
 }

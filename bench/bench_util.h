@@ -1,13 +1,18 @@
 #ifndef KGREC_BENCH_BENCH_UTIL_H_
 #define KGREC_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/mem_stats.h"
 #include "core/recommender.h"
 #include "core/thread_pool.h"
 #include "data/synthetic.h"
@@ -103,91 +108,97 @@ inline void PrintRule(int width) {
   std::putchar('\n');
 }
 
-/// Minimal JSON emitter for the machine-readable bench artifacts
-/// (BENCH_*.json): flat objects and arrays built as strings, no external
-/// dependency. Numbers print with enough digits to round-trip a double;
-/// strings are escaped per RFC 8259.
-class JsonWriter {
+/// The one machine-readable artifact of a bench, BENCH_<name>.json:
+///
+///   {"bench": name, "mode": "smoke" | "full",
+///    "gates": {...}, "metrics": {...}, "timings": {...}, "rss": {...}}
+///
+/// Every section is a flat name -> value object; row lists flatten into
+/// "<row>/<field>" keys such as "MF/sq8_bitwise" or
+/// "2000/ivf/probes=8/recall_at_10".
+///   gates    pass/fail contract checks (bool). The exit code Finish()
+///            returns is their AND, so a bench's exit status and its
+///            artifact cannot disagree.
+///   metrics  deterministic numbers (AUC, recall, bytes, pool sizes):
+///            any change between two runs is news.
+///   timings  wall clock and quotients of it: noisy.
+///   rss      resident-set bytes: noisy.
+/// tools/bench_diff.py reads these four sections and nothing else.
+class Report {
  public:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
+  Report(std::string name, bool smoke)
+      : name_(std::move(name)), mode_(smoke ? "smoke" : "full") {}
+
+  /// Records a gate; recording the same name again ANDs into it, so a
+  /// loop can fold per-item checks into one gate.
+  void Gate(const std::string& name, bool ok) {
+    bool& gate = gates_.try_emplace(name, true).first->second;
+    gate = gate && ok;
+  }
+  void Metric(const std::string& name, double value) { metrics_[name] = value; }
+  void Timing(const std::string& name, double value) { timings_[name] = value; }
+  void Rss(const std::string& name, double bytes) { rss_[name] = bytes; }
+
+  /// Writes BENCH_<name>.json (adding the process's "peak_rss_bytes"
+  /// unless the bench recorded it) and returns the process exit code: 0
+  /// only if the file was written and every gate is true. Failed gates
+  /// are named on stderr.
+  int Finish() {
+    rss_.emplace("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
+    bool ok = true;
+    for (const auto& [gate, passed] : gates_) {
+      if (!passed) std::fprintf(stderr, "FAIL gate %s\n", gate.c_str());
+      ok = ok && passed;
     }
-    return out;
-  }
-
-  JsonWriter& Field(const std::string& name, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return Raw(name, buf);
-  }
-  JsonWriter& Field(const std::string& name, size_t value) {
-    return Raw(name, std::to_string(value));
-  }
-  JsonWriter& Field(const std::string& name, int value) {
-    return Raw(name, std::to_string(value));
-  }
-  JsonWriter& Field(const std::string& name, bool value) {
-    return Raw(name, value ? "true" : "false");
-  }
-  JsonWriter& Field(const std::string& name, const std::string& value) {
-    return Raw(name, "\"" + Escape(value) + "\"");
-  }
-  JsonWriter& Field(const std::string& name, const char* value) {
-    return Field(name, std::string(value));
-  }
-  /// Nested object/array: `json` is already-serialized JSON.
-  JsonWriter& Raw(const std::string& name, const std::string& json) {
-    if (!fields_.empty()) fields_ += ",";
-    fields_ += "\"" + Escape(name) + "\":" + json;
-    return *this;
-  }
-
-  /// This object as a JSON value.
-  std::string str() const { return "{" + fields_ + "}"; }
-
-  /// Serializes a list of already-serialized values.
-  static std::string Array(const std::vector<std::string>& values) {
-    std::string out = "[";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) out += ",";
-      out += values[i];
-    }
-    return out + "]";
-  }
-
-  /// Writes `json` to `path` (with a trailing newline); returns false and
-  /// prints to stderr on I/O failure.
-  static bool WriteFile(const std::string& path, const std::string& json) {
+    // One line per section: tools/bench_diff.py, not a text diff, is
+    // how two artifacts are compared.
+    const std::string json =
+        "{\"bench\": " + Quote(name_) + ", \"mode\": " + Quote(mode_) +
+        ",\n \"gates\": " + Section(gates_) +
+        ",\n \"metrics\": " + Section(metrics_) +
+        ",\n \"timings\": " + Section(timings_) +
+        ",\n \"rss\": " + Section(rss_) + "}\n";
+    const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    const bool ok = std::fputs(json.c_str(), f) >= 0 && std::fputc('\n', f) != EOF;
-    std::fclose(f);
-    if (!ok) std::fprintf(stderr, "short write to %s\n", path.c_str());
-    return ok;
+    bool written = f != nullptr && std::fputs(json.c_str(), f) >= 0;
+    if (f != nullptr) written = std::fclose(f) == 0 && written;
+    if (!written) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return ok && written ? 0 : 1;
   }
 
  private:
-  std::string fields_;
+  // Names are bench-chosen ASCII identifiers; only '"' and '\\' need
+  // escaping.
+  static std::string Quote(const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  }
+  static std::string Value(bool v) { return v ? "true" : "false"; }
+  /// Shortest round-trip form; JSON has no NaN/inf, so those are null.
+  static std::string Value(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+  template <typename T>
+  static std::string Section(const std::map<std::string, T>& entries) {
+    std::string out;
+    for (const auto& [name, value] : entries) {
+      out += (out.empty() ? "" : ", ") + Quote(name) + ": " + Value(value);
+    }
+    return "{" + out + "}";
+  }
+
+  std::string name_;
+  std::string mode_;
+  std::map<std::string, bool> gates_;
+  std::map<std::string, double> metrics_;
+  std::map<std::string, double> timings_;
+  std::map<std::string, double> rss_;
 };
 
 }  // namespace kgrec::bench

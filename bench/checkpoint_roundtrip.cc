@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/mem_stats.h"
 #include "core/recommender.h"
 #include "core/registry.h"
 #include "data/presets.h"
@@ -109,11 +108,13 @@ int main(int argc, char** argv) {
   }
   kgrec::bench::Workbench bench = kgrec::bench::MakeWorkbench(config);
 
+  kgrec::bench::Report report("checkpoint_roundtrip", smoke);
   const std::string dir =
       "/tmp/kgrec_ckpt_" + std::to_string(static_cast<long>(getpid()));
   if (mkdir(dir.c_str(), 0755) != 0) {
     std::fprintf(stderr, "cannot create %s\n", dir.c_str());
-    return 1;
+    report.Gate("checkpoint_dir_created", false);
+    return report.Finish();
   }
 
   std::printf(
@@ -123,13 +124,11 @@ int main(int argc, char** argv) {
               "load_s", "roundtrip");
   kgrec::bench::PrintRule(64);
 
-  bool all_ok = true;
-  std::vector<std::string> json_rows;
   for (const std::string& name : kgrec::ImplementedMethodNames()) {
     std::unique_ptr<kgrec::Recommender> model = kgrec::MakeRecommender(name);
     if (model == nullptr) {
       std::printf("%-16s (no factory)\n", name.c_str());
-      all_ok = false;
+      report.Gate(name + "/bitwise", false);
       continue;
     }
     model->Fit(bench.Context(17));
@@ -146,17 +145,11 @@ int main(int argc, char** argv) {
     } else {
       std::printf("%-16s %10s %10s %10s  FAIL: %s\n", name.c_str(), "-", "-",
                   "-", row.error.c_str());
-      all_ok = false;
     }
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("model", name)
-                            .Field("checkpoint_bytes",
-                                   static_cast<size_t>(
-                                       row.bytes > 0 ? row.bytes : 0))
-                            .Field("save_seconds", row.save_s)
-                            .Field("load_seconds", row.load_s)
-                            .Field("bitwise", row.ok)
-                            .str());
+    report.Gate(name + "/bitwise", row.ok);
+    report.Metric(name + "/checkpoint_bytes", row.bytes > 0 ? row.bytes : 0);
+    report.Timing(name + "/save_seconds", row.save_s);
+    report.Timing(name + "/load_seconds", row.load_s);
     std::remove(path.c_str());
   }
   rmdir(dir.c_str());
@@ -166,15 +159,5 @@ int main(int argc, char** argv) {
       "exactly the scores the fitted model did. Checkpoints store learned\n"
       "parameters only; derived state is recomputed on load from the same\n"
       "data and seed, which is what this harness locks down.\n");
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_checkpoint_roundtrip.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "checkpoint_roundtrip")
-          .Field("mode", smoke ? "smoke" : "full")
-          .Field("bitwise", all_ok)
-          .Field("peak_rss_bytes", kgrec::PeakRssBytes())
-          .Field("pass", all_ok)
-          .Raw("rows", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  return all_ok ? 0 : 1;
+  return report.Finish();
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/mem_stats.h"
 #include "core/registry.h"
 #include "core/thread_pool.h"
 #include "data/presets.h"
@@ -54,8 +53,8 @@ int main() {
   kgrec::CtrMetrics ctr_ref;
   kgrec::TopKMetrics topk_ref;
   double topk_serial = 0.0;
-  bool all_bitwise = true;
-  std::vector<std::string> json_rows;
+  kgrec::bench::Report report("eval_scaling", /*smoke=*/false);
+  report.Metric("hardware_threads", kgrec::ThreadPool::HardwareThreads());
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     kgrec::EvalOptions options;
     options.num_threads = threads;
@@ -82,27 +81,14 @@ int main() {
     std::printf("%8zu %10.3f %10.3f %11.2fx %10s\n", threads,
                 Seconds(t0, t1), topk_s, topk_serial / topk_s,
                 bitwise ? "yes" : "NO — BUG");
-    all_bitwise = all_bitwise && bitwise;
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("threads", threads)
-                            .Field("ctr_seconds", Seconds(t0, t1))
-                            .Field("topk_seconds", topk_s)
-                            .Field("topk_speedup", topk_serial / topk_s)
-                            .Field("bitwise", bitwise)
-                            .str());
+    const std::string row = "threads=" + std::to_string(threads);
+    if (threads > 1) report.Gate(row + "/bitwise", bitwise);
+    report.Timing(row + "/ctr_seconds", Seconds(t0, t1));
+    report.Timing(row + "/topk_seconds", topk_s);
+    report.Timing(row + "/topk_speedup", topk_serial / topk_s);
   }
   std::printf(
       "\nContract: the bitwise column must read 'yes' on every row; the\n"
       "speedup column tracks the machine's core count (1.0x on 1 core).\n");
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_eval_scaling.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "eval_scaling")
-          .Field("hardware_threads", kgrec::ThreadPool::HardwareThreads())
-          .Field("bitwise", all_bitwise)
-          .Field("peak_rss_bytes", kgrec::PeakRssBytes())
-          .Field("pass", all_bitwise)
-          .Raw("rows", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  return all_bitwise ? 0 : 1;
+  return report.Finish();
 }

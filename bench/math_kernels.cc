@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/mem_stats.h"
 #include "math/kernels.h"
 #include "math/rng.h"
 
@@ -69,11 +68,16 @@ struct Row {
   bool bitwise = true;
 };
 
-void PrintRow(const Row& row) {
+/// Prints one table row and records it in the bench report.
+void Emit(const Row& row, kgrec::bench::Report* report) {
   std::printf("%-24s %12.1f %12.1f %8.2fx %9s\n", row.name.c_str(),
               row.dispatched_s * 1e9, row.ref_s * 1e9,
               row.ref_s / row.dispatched_s,
               row.bitwise ? "yes" : "NO — BUG");
+  report->Gate(row.name + "/bitwise", row.bitwise);
+  report->Timing(row.name + "/dispatched_ns", row.dispatched_s * 1e9);
+  report->Timing(row.name + "/reference_ns", row.ref_s * 1e9);
+  report->Timing(row.name + "/speedup", row.ref_s / row.dispatched_s);
 }
 
 bool BitwiseEqual(const float* a, const float* b, size_t n) {
@@ -93,7 +97,7 @@ int main(int argc, char** argv) {
               "speedup", "bitwise");
   kgrec::bench::PrintRule(70);
 
-  std::vector<Row> rows;
+  kgrec::bench::Report report("math_kernels", smoke);
 
   {  // Dot, n = 64: the ScoreItems / RowwiseDot workhorse size.
     const size_t n = 64;
@@ -109,8 +113,7 @@ int main(int argc, char** argv) {
     row.ref_s = TimeOp(
         [&] { g_sink = kgrec::kernels::ref::Dot(a.data(), b.data(), n); },
         min_seconds);
-    rows.push_back(row);
-    PrintRow(row);
+    Emit(row, &report);
   }
 
   {  // DotBatch: 256 scattered candidate rows, n = 64.
@@ -137,8 +140,7 @@ int main(int argc, char** argv) {
                                         out_ref.data());
         },
         min_seconds);
-    rows.push_back(row);
-    PrintRow(row);
+    Emit(row, &report);
   }
 
   {  // MatMul 64x64x64: the nn forward/backward workhorse.
@@ -159,8 +161,7 @@ int main(int argc, char** argv) {
                                       n);
         },
         min_seconds);
-    rows.push_back(row);
-    PrintRow(row);
+    Emit(row, &report);
   }
 
   {  // MatMulTransposeB 64x64x64 (the MatMul-backward dA form).
@@ -185,8 +186,7 @@ int main(int argc, char** argv) {
                                                 c_ref.data(), m, k, n);
         },
         min_seconds);
-    rows.push_back(row);
-    PrintRow(row);
+    Emit(row, &report);
   }
 
   {  // Fused CosineSimilarity, n = 256 (PathSim / clustering size).
@@ -209,8 +209,7 @@ int main(int argc, char** argv) {
               kgrec::kernels::ref::CosineSimilarity(a.data(), b.data(), n);
         },
         min_seconds);
-    rows.push_back(row);
-    PrintRow(row);
+    Emit(row, &report);
   }
 
   {  // SoftmaxRows 64x64 (attention normalization shape).
@@ -227,39 +226,14 @@ int main(int argc, char** argv) {
     row.ref_s = TimeOp(
         [&] { kgrec::kernels::ref::SoftmaxRows(x.data(), y_ref.data(), r, c); },
         min_seconds);
-    rows.push_back(row);
-    PrintRow(row);
+    Emit(row, &report);
   }
 
   kgrec::bench::PrintRule(70);
-  bool all_bitwise = true;
-  std::vector<std::string> json_rows;
-  for (const Row& row : rows) {
-    all_bitwise = all_bitwise && row.bitwise;
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("kernel", row.name)
-                            .Field("dispatched_ns", row.dispatched_s * 1e9)
-                            .Field("reference_ns", row.ref_s * 1e9)
-                            .Field("speedup", row.ref_s / row.dispatched_s)
-                            .Field("bitwise", row.bitwise)
-                            .str());
-  }
   std::printf(
       "\nContract: every bitwise column must read 'yes' — the dispatched\n"
       "kernels and the scalar reference perform the identical IEEE op\n"
       "sequence per output (the fixed-block accumulation contract), so\n"
       "KGREC_SIMD=auto and KGREC_SIMD=off builds produce identical models.\n");
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_math_kernels.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "math_kernels")
-          .Field("mode", smoke ? "smoke" : "full")
-          .Field("simd_mode", kgrec::kernels::Mode())
-          .Field("bitwise", all_bitwise)
-          .Field("peak_rss_bytes", kgrec::PeakRssBytes())
-          .Field("pass", all_bitwise)
-          .Raw("rows", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  if (!all_bitwise) return 1;
-  return 0;
+  return report.Finish();
 }

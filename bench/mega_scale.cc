@@ -24,9 +24,9 @@
 //                             must match the float32 index bitwise,
 //                         (c) peak RSS stays within the smoke budget.
 //
-// Every stage appends a row (wall seconds, current/peak RSS, logical
-// substrate bytes) to BENCH_mega.json — the memory trajectory the
-// compaction work is judged by. Compare runs with tools/bench_diff.py.
+// Every stage records its wall seconds, current/peak RSS and logical
+// substrate bytes under "<stage>/" keys in BENCH_mega.json — the memory
+// trajectory the compaction work is judged by. Compare runs with tools/bench_diff.py.
 // Exits non-zero on any gate failure.
 
 #include <cstdio>
@@ -84,15 +84,6 @@ constexpr size_t kPeakRssBudgetSmoke = size_t{64} * kMiB;
 
 constexpr size_t kTopK = 10;
 
-/// One row of the memory trajectory.
-struct StageRow {
-  std::string stage;
-  double seconds = 0.0;
-  size_t current_rss = 0;
-  size_t peak_rss = 0;
-  size_t logical_bytes = 0;  // substrate logical bytes after the stage
-};
-
 /// Logical bytes of the data substrate (KG + interaction log + indices).
 size_t SubstrateBytes(const KnowledgeGraph& kg,
                       const InteractionDataset& interactions) {
@@ -102,45 +93,49 @@ size_t SubstrateBytes(const KnowledgeGraph& kg,
   return visitor.total();
 }
 
+/// The memory trajectory: every stage records its wall time, current
+/// and peak RSS, and the substrate's logical bytes (`logical_bytes`,
+/// measured before the stage runs) under "<stage>/" in the report.
 class Trajectory {
  public:
-  /// Runs `body`, then records wall time and the RSS trajectory point.
+  explicit Trajectory(kgrec::bench::Report* report) : report_(report) {}
+
+  /// Runs `body`, then records the stage's trajectory point.
   template <typename Body>
   void Stage(const std::string& name, size_t logical_bytes, Body&& body) {
     const auto start = Clock::now();
     body();
-    const auto end = Clock::now();
-    StageRow row;
-    row.stage = name;
-    row.seconds = std::chrono::duration<double>(end - start).count();
-    row.current_rss = kgrec::CurrentRssBytes();
-    row.peak_rss = kgrec::PeakRssBytes();
-    row.logical_bytes = logical_bytes;
-    rows_.push_back(row);
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    const size_t current_rss = kgrec::CurrentRssBytes();
+    const size_t peak_rss = kgrec::PeakRssBytes();
     std::printf("%-24s %8.2fs  rss %7.1f MiB  peak %7.1f MiB  logical %7.1f MiB\n",
-                name.c_str(), row.seconds,
-                static_cast<double>(row.current_rss) / kMiB,
-                static_cast<double>(row.peak_rss) / kMiB,
-                static_cast<double>(row.logical_bytes) / kMiB);
-  }
-
-  std::vector<std::string> JsonRows() const {
-    std::vector<std::string> out;
-    for (const StageRow& r : rows_) {
-      out.push_back(kgrec::bench::JsonWriter()
-                        .Field("stage", r.stage)
-                        .Field("seconds", r.seconds)
-                        .Field("current_rss_bytes", r.current_rss)
-                        .Field("peak_rss_bytes", r.peak_rss)
-                        .Field("logical_bytes", r.logical_bytes)
-                        .str());
-    }
-    return out;
+                name.c_str(), seconds,
+                static_cast<double>(current_rss) / kMiB,
+                static_cast<double>(peak_rss) / kMiB,
+                static_cast<double>(logical_bytes) / kMiB);
+    report_->Timing(name + "/seconds", seconds);
+    report_->Rss(name + "/current_rss_bytes", current_rss);
+    report_->Rss(name + "/peak_rss_bytes", peak_rss);
+    report_->Metric(name + "/logical_bytes", logical_bytes);
   }
 
  private:
-  std::vector<StageRow> rows_;
+  kgrec::bench::Report* report_;
 };
+
+/// Records the end-of-run peak RSS and gates it on `budget`.
+void GatePeakRss(size_t budget, kgrec::bench::Report* report) {
+  const size_t peak = kgrec::PeakRssBytes();
+  if (peak > budget) {
+    std::fprintf(stderr, "FAIL peak RSS %.1f MiB > budget %.1f MiB\n",
+                 static_cast<double>(peak) / kMiB,
+                 static_cast<double>(budget) / kMiB);
+  }
+  report->Rss("peak_rss_bytes", peak);
+  report->Metric("rss_budget_bytes", budget);
+  report->Gate("peak_rss_within_budget", peak <= budget);
+}
 
 bool BitwiseEqual(std::span<const float> a, std::span<const float> b) {
   return a.size() == b.size() &&
@@ -278,7 +273,8 @@ bool SameModel(const MfRecommender& a, const MfRecommender& b,
 }
 
 int RunSmoke() {
-  Trajectory traj;
+  kgrec::bench::Report report("mega", /*smoke=*/true);
+  Trajectory traj(&report);
   MegaWorld streamed;
   MegaWorld reference;
   traj.Stage("generate_streamed", 0, [&] {
@@ -306,36 +302,16 @@ int RunSmoke() {
                                     streamed.config.num_items, &sq8_ok);
              });
 
-  const size_t peak = kgrec::PeakRssBytes();
-  const bool rss_ok = peak <= kPeakRssBudgetSmoke;
-  if (!rss_ok) {
-    std::fprintf(stderr, "FAIL peak RSS %.1f MiB > budget %.1f MiB\n",
-                 static_cast<double>(peak) / kMiB,
-                 static_cast<double>(kPeakRssBudgetSmoke) / kMiB);
-  }
-  const bool ok = world_ok && model_ok && sq8_ok && rss_ok;
-  const std::string json =
-      kgrec::bench::JsonWriter()
-          .Field("bench", "mega_scale")
-          .Field("mode", "smoke")
-          .Field("world_bitwise", world_ok)
-          .Field("model_bitwise", model_ok)
-          .Field("sq8_bitwise", sq8_ok)
-          .Field("peak_rss_bytes", peak)
-          .Field("rss_budget_bytes", kPeakRssBudgetSmoke)
-          .Field("pass", ok)
-          .Raw("stages", kgrec::bench::JsonWriter::Array(traj.JsonRows()))
-          .str();
-  kgrec::bench::JsonWriter::WriteFile("BENCH_mega.json", json);
-  std::printf("\n%s\n",
-              ok ? "PASS: streamed world bitwise-matches reference, "
-                   "RSS within budget"
-                 : "FAIL: see messages above");
-  return ok ? 0 : 1;
+  report.Gate("world_bitwise", world_ok);
+  report.Gate("model_bitwise", model_ok);
+  report.Gate("sq8_bitwise", sq8_ok);
+  GatePeakRss(kPeakRssBudgetSmoke, &report);
+  return report.Finish();
 }
 
 int RunFull() {
-  Trajectory traj;
+  kgrec::bench::Report report("mega", /*smoke=*/false);
+  Trajectory traj(&report);
   MegaWorld world;
   traj.Stage("generate_streamed", 0, [&] {
     world = kgrec::GenerateMegaWorld(kgrec::MegaPreset());
@@ -401,6 +377,12 @@ int RunFull() {
           ? static_cast<double>(sq8_bytes) / static_cast<double>(factor_bytes)
           : 0.0;
   const bool sq8_bytes_ok = sq8_bytes_ratio <= kSq8BytesRatioBudget;
+  report.Gate("sq8_bytes_ratio_within_budget", sq8_bytes_ok);
+  report.Metric("factor_bytes", factor_bytes);
+  report.Metric("sq8_code_bytes", sq8->quantized()->code_bytes());
+  report.Metric("sq8_grid_bytes", sq8->quantized()->grid_bytes());
+  report.Metric("sq8_bytes_ratio", sq8_bytes_ratio);
+  report.Metric("sq8_bytes_ratio_budget", kSq8BytesRatioBudget);
   if (!sq8_bytes_ok) {
     std::fprintf(stderr,
                  "FAIL sq8 bytes ratio %.3f > budget %.2f "
@@ -451,65 +433,34 @@ int RunFull() {
     }
   });
 
+  report.Gate("sq8_bitwise", sq8_bitwise);
+
   // Per-structure logical-byte breakdown for the JSON artifact.
   MemoryVisitor visitor;
   world.kg.MemoryUse(visitor);
   world.interactions.MemoryUse(visitor);
-  std::vector<std::string> structure_rows;
   for (const auto& [name, bytes] : visitor.entries()) {
-    structure_rows.push_back(kgrec::bench::JsonWriter()
-                                 .Field("structure", name)
-                                 .Field("bytes", bytes)
-                                 .str());
+    report.Metric(name + "/bytes", bytes);
   }
+  report.Metric("num_users", world.config.num_users);
+  report.Metric("num_items", world.config.num_items);
+  report.Metric("num_facts", world.kg.num_triples());
+  report.Metric("num_interactions", world.interactions.num_interactions());
 
-  const size_t peak = kgrec::PeakRssBytes();
-  const bool rss_ok = peak <= kPeakRssBudgetFull;
-  if (!rss_ok) {
-    std::fprintf(stderr, "FAIL peak RSS %.1f MiB > budget %.1f MiB\n",
-                 static_cast<double>(peak) / kMiB,
-                 static_cast<double>(kPeakRssBudgetFull) / kMiB);
-  }
   // sq8_speedup is informational: at dim 16 the float scan is still
   // cache-resident here, so the two run at parity and the 4x byte
   // shrink is a capacity win, not a latency one. The bytes ratio and
   // the bitwise equality are the hard gates.
   const double sq8_speedup = brute_qps > 0.0 ? sq8_qps / brute_qps : 0.0;
-  const bool ok = rss_ok && sq8_bytes_ok && sq8_bitwise;
-  const std::string json =
-      kgrec::bench::JsonWriter()
-          .Field("bench", "mega_scale")
-          .Field("mode", "full")
-          .Field("num_users", static_cast<size_t>(world.config.num_users))
-          .Field("num_items", static_cast<size_t>(world.config.num_items))
-          .Field("num_facts", world.kg.num_triples())
-          .Field("num_interactions",
-                 world.interactions.num_interactions())
-          .Field("brute_qps", brute_qps)
-          .Field("ivf_qps", ivf_qps)
-          .Field("sq8_brute_qps", sq8_qps)
-          .Field("sq8_speedup", sq8_speedup)
-          .Field("sq8_bitwise", sq8_bitwise)
-          .Field("factor_bytes", factor_bytes)
-          .Field("sq8_code_bytes", sq8->quantized()->code_bytes())
-          .Field("sq8_grid_bytes", sq8->quantized()->grid_bytes())
-          .Field("sq8_bytes_ratio", sq8_bytes_ratio)
-          .Field("sq8_bytes_ratio_budget", kSq8BytesRatioBudget)
-          .Field("peak_rss_bytes", peak)
-          .Field("rss_budget_bytes", kPeakRssBudgetFull)
-          .Field("pass", ok)
-          .Raw("stages", kgrec::bench::JsonWriter::Array(traj.JsonRows()))
-          .Raw("structures",
-               kgrec::bench::JsonWriter::Array(structure_rows))
-          .str();
-  kgrec::bench::JsonWriter::WriteFile("BENCH_mega.json", json);
+  report.Timing("brute_qps", brute_qps);
+  report.Timing("ivf_qps", ivf_qps);
+  report.Timing("sq8_brute_qps", sq8_qps);
+  report.Timing("sq8_speedup", sq8_speedup);
+  GatePeakRss(kPeakRssBudgetFull, &report);
   std::printf("\nbrute %.0f q/s  ivf %.0f q/s  sq8 %.0f q/s "
-              "(%.2fx brute, %.3fx bytes)\n%s\n",
-              brute_qps, ivf_qps, sq8_qps, sq8_speedup, sq8_bytes_ratio,
-              ok ? "PASS: RSS within budget, SQ8 bitwise and within the "
-                   "bytes budget"
-                 : "FAIL: see messages above");
-  return ok ? 0 : 1;
+              "(%.2fx brute, %.3fx bytes)\n",
+              brute_qps, ivf_qps, sq8_qps, sq8_speedup, sq8_bytes_ratio);
+  return report.Finish();
 }
 
 }  // namespace

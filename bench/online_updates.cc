@@ -150,8 +150,8 @@ int RunSmoke() {
   const size_t n = stream.size();
   std::printf("== online updates (smoke: %zu events) ==\n\n", n);
 
-  bool all_ok = true;
-  std::vector<std::string> json_rows;
+  kgrec::bench::Report report("online", /*smoke=*/true);
+  report.Metric("num_events", n);
 
   // Gate 1: a replayed prefix is the from-scratch world, at every probed
   // timestamp, applied incrementally batch by batch.
@@ -174,11 +174,7 @@ int RunSmoke() {
         std::printf("replay@%-4zu bitwise\n", t);
       }
     }
-    all_ok = all_ok && replay_ok;
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("gate", "replay_equals_materialized")
-                            .Field("pass", replay_ok)
-                            .str());
+    report.Gate("replay_equals_materialized", replay_ok);
   }
 
   // Base structures stay pristine (they are the restore context for
@@ -211,7 +207,7 @@ int RunSmoke() {
     if (status.ok()) status = kgrec::LoadModel(base_ctx, ckpt, &restored);
     if (!status.ok()) {
       std::printf("%-14s FAIL: %s\n", name.c_str(), status.ToString().c_str());
-      all_ok = false;
+      report.Gate(name + "/update_roundtrip_bitwise", false);
       continue;
     }
     updated_models.push_back(std::move(fitted));
@@ -229,7 +225,8 @@ int RunSmoke() {
         std::printf("%-14s FAIL: update: %s\n",
                     updated_models[i]->name().c_str(),
                     status.ToString().c_str());
-        all_ok = false;
+        report.Gate(updated_models[i]->name() + "/update_roundtrip_bitwise",
+                    false);
       }
     }
   }
@@ -243,12 +240,7 @@ int RunSmoke() {
                 ok ? "update bitwise across checkpoint roundtrip"
                    : "FAIL: update diverges after save/load at ",
                 ok ? "" : why.c_str());
-    all_ok = all_ok && ok;
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("gate", "update_roundtrip_bitwise")
-                            .Field("model", name)
-                            .Field("pass", ok)
-                            .str());
+    report.Gate(name + "/update_roundtrip_bitwise", ok);
   }
 
   // Gate 3: metrics of an updated model are bitwise across eval thread
@@ -279,11 +271,7 @@ int RunSmoke() {
     }
     if (threads_ok) std::printf("%-14s metrics bitwise at 1/2/8 eval threads\n",
                                 updated_models[0]->name().c_str());
-    all_ok = all_ok && threads_ok;
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("gate", "eval_threads_bitwise")
-                            .Field("pass", threads_ok)
-                            .str());
+    report.Gate("eval_threads_bitwise", threads_ok);
   }
 
   // Gate 4: a model without an online path refuses with kUnimplemented.
@@ -299,23 +287,8 @@ int RunSmoke() {
                            : "FAIL: wrong refusal status");
     break;
   }
-  all_ok = all_ok && refusal_ok;
-  json_rows.push_back(kgrec::bench::JsonWriter()
-                          .Field("gate", "non_updatable_refuses")
-                          .Field("pass", refusal_ok)
-                          .str());
-
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_online.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "online_updates")
-          .Field("mode", "smoke")
-          .Field("num_events", n)
-          .Field("pass", all_ok)
-          .Raw("gates", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  std::printf("\n%s\n", all_ok ? "ALL GATES PASS" : "GATE FAILURE");
-  return all_ok ? 0 : 1;
+  report.Gate("non_updatable_refuses", refusal_ok);
+  return report.Finish();
 }
 
 struct FrontierRow {
@@ -438,12 +411,12 @@ int RunFull() {
   std::printf("%-14s %8s %8s %8s %9s %8s %8s %7s\n", "model", "stale",
               "updated", "refit", "recovery", "upd_s", "refit_s", "cost");
   kgrec::bench::PrintRule(78);
-  std::vector<std::string> json_rows;
-  bool mf_family_ok = false, kge_family_ok = false, all_ok = true;
+  kgrec::bench::Report report("online", /*smoke=*/false);
+  bool mf_family_ok = false, kge_family_ok = false;
   for (size_t i = 0; i < names.size(); ++i) {
     FrontierRow& row = rows[i];
+    report.Gate(names[i] + "/update_path_ok", row.update_ok);
     if (!row.update_ok) {
-      all_ok = false;
       std::printf("%-14s FAIL (update path)\n", names[i].c_str());
       continue;
     }
@@ -475,39 +448,28 @@ int RunFull() {
                 names[i].c_str(), row.stale_auc, row.updated_auc,
                 row.refit_auc, recovery * 100.0, row.update_seconds,
                 row.refit_seconds, cost * 100.0);
-    json_rows.push_back(kgrec::bench::JsonWriter()
-                            .Field("model", names[i])
-                            .Field("stale_auc", row.stale_auc)
-                            .Field("updated_auc", row.updated_auc)
-                            .Field("refit_auc", row.refit_auc)
-                            .Field("recovery", recovery)
-                            .Field("update_seconds", row.update_seconds)
-                            .Field("refit_seconds", row.refit_seconds)
-                            .Field("cost_ratio", cost)
-                            .str());
+    report.Metric(names[i] + "/stale_auc", row.stale_auc);
+    report.Metric(names[i] + "/updated_auc", row.updated_auc);
+    report.Metric(names[i] + "/refit_auc", row.refit_auc);
+    report.Metric(names[i] + "/recovery", recovery);
+    report.Timing(names[i] + "/update_seconds", row.update_seconds);
+    report.Timing(names[i] + "/refit_seconds", row.refit_seconds);
+    report.Timing(names[i] + "/cost_ratio", cost);
   }
   kgrec::bench::PrintRule(78);
-  all_ok = all_ok && mf_family_ok && kge_family_ok;
   std::printf(
       "\nGate: in the MF family and in the KGE family, at least one model\n"
       "must recover >= 50%% of the staleness drift (refit - stale AUC) at\n"
       "<= 10%% of refit cost.  MF family: %s   KGE family: %s\n",
       mf_family_ok ? "PASS" : "FAIL", kge_family_ok ? "PASS" : "FAIL");
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_online.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "online_updates")
-          .Field("mode", "full")
-          .Field("num_events", n)
-          .Field("cut", cut)
-          .Field("checkpoints", kCheckpoints)
-          .Field("test_interactions", test.num_interactions())
-          .Field("mf_family_pass", mf_family_ok)
-          .Field("kge_family_pass", kge_family_ok)
-          .Field("pass", all_ok)
-          .Raw("rows", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  return all_ok ? 0 : 1;
+  // Family gates OR their models: one model per family must pass.
+  report.Gate("mf_family_recovers", mf_family_ok);
+  report.Gate("kge_family_recovers", kge_family_ok);
+  report.Metric("num_events", n);
+  report.Metric("cut", cut);
+  report.Metric("checkpoints", kCheckpoints);
+  report.Metric("test_interactions", test.num_interactions());
+  return report.Finish();
 }
 
 }  // namespace

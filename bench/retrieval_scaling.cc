@@ -28,7 +28,7 @@
 // recall-before-rerank (how often the quantized scan alone already finds
 // the true top-10 — the margin the re-rank consumes).
 //
-// Emits machine-readable BENCH_retrieval.json next to the binary.
+// Emits machine-readable BENCH_retrieval.json into the working directory.
 // Exits non-zero on any gate failure.
 
 #include <algorithm>
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/mem_stats.h"
 #include "core/recommender.h"
 #include "core/registry.h"
 #include "data/presets.h"
@@ -187,17 +186,15 @@ QueryTiming TimeQueries(const kgrec::retrieval::ItemIndex& index,
 }
 
 /// Part 1: for each factorizable registry model, fit on the shared world
-/// and require (a) BruteForceIndex::Query == ScoreAll + TopKScored
-/// bitwise, (b) the SQ8 index == the float32 index bitwise, and (c) the
+/// and gate (a) BruteForceIndex::Query == ScoreAll + TopKScored bitwise,
+/// (b) the SQ8 index == the float32 index bitwise, and (c) the
 /// dispatched integer kernels == the scalar reference on every scan
-/// score. Sets *sq8_ok to (b) && (c) across all models.
-bool RunModelGate(const kgrec::bench::Workbench& bench, bool* sq8_ok,
-                  std::vector<std::string>* json_rows) {
+/// score.
+void RunModelGate(const kgrec::bench::Workbench& bench,
+                  kgrec::bench::Report* report) {
   const kgrec::RecContext ctx = bench.Context(17);
   const int32_t num_items = ctx.train->num_items();
   const int32_t num_users = ctx.train->num_users();
-  bool all_ok = true;
-  *sq8_ok = true;
 
   std::printf("%-10s %-14s %-8s %-8s %-8s %10s\n", "model", "kernel",
               "bitwise", "sq8", "int8=ref", "scan QPS");
@@ -259,36 +256,31 @@ bool RunModelGate(const kgrec::bench::Workbench& bench, bool* sq8_ok,
     std::printf("%-10s %-14s %-8s %-8s %-8s %10.0f\n", name.c_str(), kernel,
                 bitwise ? "yes" : "NO", sq8_bitwise ? "yes" : "NO",
                 int8_matches_ref ? "yes" : "NO", qps);
-    all_ok = all_ok && bitwise;
-    *sq8_ok = *sq8_ok && sq8_bitwise && int8_matches_ref;
-
-    const size_t factor_bytes =
-        index.num_items() * index.dim() * sizeof(float);
-    json_rows->push_back(kgrec::bench::JsonWriter()
-                             .Field("model", name)
-                             .Field("kernel", kernel)
-                             .Field("bitwise", bitwise)
-                             .Field("sq8_bitwise", sq8_bitwise)
-                             .Field("int8_kernels_bitwise", int8_matches_ref)
-                             .Field("factor_bytes", factor_bytes)
-                             .Field("sq8_code_bytes", quantized->code_bytes())
-                             .Field("candidate_pool", Sq8Spec().PoolSize(kK))
-                             .str());
+    report->Gate(name + "/bitwise", bitwise);
+    report->Gate(name + "/sq8_bitwise", sq8_bitwise);
+    report->Gate(name + "/int8_kernels_bitwise", int8_matches_ref);
+    report->Metric(name + "/factor_bytes",
+                   index.num_items() * index.dim() * sizeof(float));
+    report->Metric(name + "/sq8_code_bytes", quantized->code_bytes());
+    report->Metric(name + "/candidate_pool", Sq8Spec().PoolSize(kK));
   }
-  return all_ok;
 }
 
-struct SweepGate {
-  bool ok = true;
-  double default_probe_recall = 1.0;
-};
+/// Records one sweep row's query timings under "<row>/".
+void RecordTiming(const std::string& row, const QueryTiming& timing,
+                  kgrec::bench::Report* report) {
+  report->Timing(row + "/qps", timing.qps);
+  report->Timing(row + "/p50_us", timing.p50_us);
+  report->Timing(row + "/p99_us", timing.p99_us);
+}
 
-/// Part 2: synthetic-embedding sweep, catalog size × probe count.
-SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
-                   size_t num_queries, bool smoke,
-                   std::vector<std::string>* json_rows) {
+/// Part 2: synthetic-embedding sweep, catalog size × probe count. Returns
+/// the lowest recall@10 at the default probe setting across catalogs.
+double RunSweep(const std::vector<size_t>& catalog_sizes,
+                size_t num_queries, bool smoke,
+                kgrec::bench::Report* report) {
   constexpr size_t kDim = 32;
-  SweepGate gate;
+  double default_probe_recall = 1.0;
 
   std::printf("\n%-9s %-9s %-8s %-7s %10s %9s %9s %9s\n", "catalog",
               "clusters", "probes", "recall", "QPS", "p50 us", "p99 us",
@@ -331,15 +323,8 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
     std::printf("%-9zu %-9s %-8s %-7s %10.0f %9.1f %9.1f %9s\n", n, "-",
                 "exact", "1.000", exact_timing.qps, exact_timing.p50_us,
                 exact_timing.p99_us, "1.0x");
-    json_rows->push_back(kgrec::bench::JsonWriter()
-                             .Field("catalog", n)
-                             .Field("index", "brute-force")
-                             .Field("recall_at_10", 1.0)
-                             .Field("qps", exact_timing.qps)
-                             .Field("p50_us", exact_timing.p50_us)
-                             .Field("p99_us", exact_timing.p99_us)
-                             .Field("bitwise", true)
-                             .str());
+    const std::string catalog = std::to_string(n);
+    RecordTiming(catalog + "/brute-force", exact_timing, report);
 
     // SQ8 leg: quantized scan + exact re-rank over the same catalog. The
     // final ranking must be bitwise the float scan's (gate); the recall
@@ -377,33 +362,19 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
       pre_recall /= exact_results.empty()
                         ? 1.0
                         : static_cast<double>(exact_results.size());
-      if (!sq8_bitwise) {
-        std::fprintf(stderr,
-                     "FAIL catalog %zu: SQ8 scan + re-rank is not bitwise "
-                     "the float32 scan\n",
-                     n);
-        gate.ok = false;
-      }
 
       const double speedup =
           exact_timing.qps > 0 ? sq8_timing.qps / exact_timing.qps : 0.0;
       std::printf("%-9zu %-9s %-8s %-7.3f %10.0f %9.1f %9.1f %8.1fx\n", n,
                   "-", "sq8", pre_recall, sq8_timing.qps, sq8_timing.p50_us,
                   sq8_timing.p99_us, speedup);
-      json_rows->push_back(
-          kgrec::bench::JsonWriter()
-              .Field("catalog", n)
-              .Field("index", "brute-sq8")
-              .Field("recall_at_10", sq8_bitwise ? 1.0 : 0.0)
-              .Field("recall_before_rerank", pre_recall)
-              .Field("candidate_pool", pool_size)
-              .Field("factor_bytes", n * kDim * sizeof(float))
-              .Field("sq8_code_bytes", quantized->code_bytes())
-              .Field("qps", sq8_timing.qps)
-              .Field("p50_us", sq8_timing.p50_us)
-              .Field("p99_us", sq8_timing.p99_us)
-              .Field("bitwise", sq8_bitwise)
-              .str());
+      const std::string row = catalog + "/brute-sq8";
+      report->Gate(row + "/bitwise", sq8_bitwise);
+      report->Metric(row + "/recall_before_rerank", pre_recall);
+      report->Metric(row + "/candidate_pool", pool_size);
+      report->Metric(row + "/factor_bytes", n * kDim * sizeof(float));
+      report->Metric(row + "/sq8_code_bytes", quantized->code_bytes());
+      RecordTiming(row, sq8_timing, report);
     }
 
     IvfConfig base;  // num_clusters = 0 -> ceil(sqrt(n))
@@ -442,37 +413,25 @@ SweepGate RunSweep(const std::vector<size_t>& catalog_sizes,
                     ? 1.0
                     : static_cast<double>(exact_results.size());
 
+      const std::string row =
+          catalog + "/ivf/probes=" + std::to_string(probes);
       if (probes == base.num_probes) {
-        gate.default_probe_recall =
-            std::min(gate.default_probe_recall, recall);
+        default_probe_recall = std::min(default_probe_recall, recall);
       }
-      if (probes == num_clusters && !bitwise) {
-        std::fprintf(stderr,
-                     "FAIL catalog %zu: probes==clusters is not bitwise "
-                     "the brute-force result\n",
-                     n);
-        gate.ok = false;
-      }
+      // Probing every cluster must be bitwise the brute-force result.
+      if (probes == num_clusters) report->Gate(row + "/bitwise", bitwise);
 
       const double speedup =
           exact_timing.qps > 0 ? timing.qps / exact_timing.qps : 0.0;
       std::printf("%-9zu %-9zu %-8zu %-7.3f %10.0f %9.1f %9.1f %8.1fx\n", n,
                   num_clusters, probes, recall, timing.qps, timing.p50_us,
                   timing.p99_us, speedup);
-      json_rows->push_back(kgrec::bench::JsonWriter()
-                               .Field("catalog", n)
-                               .Field("index", "ivf")
-                               .Field("clusters", num_clusters)
-                               .Field("probes", probes)
-                               .Field("recall_at_10", recall)
-                               .Field("qps", timing.qps)
-                               .Field("p50_us", timing.p50_us)
-                               .Field("p99_us", timing.p99_us)
-                               .Field("bitwise", bitwise)
-                               .str());
+      report->Metric(row + "/clusters", num_clusters);
+      report->Metric(row + "/recall_at_10", recall);
+      RecordTiming(row, timing, report);
     }
   }
-  return gate;
+  return default_probe_recall;
 }
 
 }  // namespace
@@ -491,43 +450,17 @@ int main(int argc, char** argv) {
     config.avg_interactions_per_user = 12.0;
   }
   const kgrec::bench::Workbench bench = kgrec::bench::MakeWorkbench(config);
-  std::vector<std::string> model_rows;
-  bool sq8_models_ok = true;
-  const bool models_ok = RunModelGate(bench, &sq8_models_ok, &model_rows);
+  kgrec::bench::Report report("retrieval", smoke);
+  report.Metric("k", kK);
+  RunModelGate(bench, &report);
 
   // Part 2: catalog × probes sweep on synthetic embeddings.
   const std::vector<size_t> catalog_sizes =
       smoke ? std::vector<size_t>{2000}
             : std::vector<size_t>{10000, 50000, 200000};
-  std::vector<std::string> sweep_rows;
-  const SweepGate gate =
-      RunSweep(catalog_sizes, smoke ? 50 : 200, smoke, &sweep_rows);
-
-  const bool recall_ok = gate.default_probe_recall >= 0.95;
-  if (!recall_ok) {
-    std::fprintf(stderr,
-                 "FAIL recall@10 at default probes = %.3f < 0.95\n",
-                 gate.default_probe_recall);
-  }
-
-  const bool ok = models_ok && sq8_models_ok && gate.ok && recall_ok;
-  const std::string json =
-      kgrec::bench::JsonWriter()
-          .Field("bench", "retrieval_scaling")
-          .Field("mode", smoke ? "smoke" : "full")
-          .Field("k", kK)
-          .Field("exact_bitwise", models_ok)
-          .Field("sq8_exact_bitwise", sq8_models_ok)
-          .Field("default_probe_recall_at_10", gate.default_probe_recall)
-          .Field("peak_rss_bytes", kgrec::PeakRssBytes())
-          .Field("pass", ok)
-          .Raw("models", kgrec::bench::JsonWriter::Array(model_rows))
-          .Raw("sweep", kgrec::bench::JsonWriter::Array(sweep_rows))
-          .str();
-  kgrec::bench::JsonWriter::WriteFile("BENCH_retrieval.json", json);
-
-  std::printf("\n%s\n",
-              ok ? "PASS: exact + SQ8 indexes bitwise, recall gate met"
-                 : "FAIL: see messages above");
-  return ok ? 0 : 1;
+  const double recall =
+      RunSweep(catalog_sizes, smoke ? 50 : 200, smoke, &report);
+  report.Metric("recall_at_10_at_default_probes", recall);
+  report.Gate("recall_at_10_at_default_probes>=0.95", recall >= 0.95);
+  return report.Finish();
 }

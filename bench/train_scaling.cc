@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/mem_stats.h"
 #include "core/serialize.h"
 #include "core/thread_pool.h"
 #include "data/presets.h"
@@ -163,47 +162,32 @@ int main(int argc, char** argv) {
   std::printf("%12s %8s %10s %9s %10s\n", "family", "threads", "fit_s",
               "speedup", "bitwise");
 
-  bool all_bitwise = true;
-  std::vector<std::string> json_rows;
+  kgrec::bench::Report report("train_scaling", smoke);
   for (const Family& family : families) {
     double serial_seconds = 0.0;
     std::vector<float> reference;
     for (size_t threads : thread_counts) {
       const Timed run = family.run(threads);
+      const std::string row =
+          family.name + "/threads=" + std::to_string(threads);
       bool bitwise = true;
       if (threads == 1) {
         serial_seconds = run.seconds;
         reference = run.fingerprint;
       } else {
         bitwise = run.fingerprint == reference;
-        all_bitwise = all_bitwise && bitwise;
+        report.Gate(row + "/bitwise", bitwise);
       }
       std::printf("%12s %8zu %10.3f %8.2fx %10s\n", family.name.c_str(),
                   threads, run.seconds, serial_seconds / run.seconds,
                   bitwise ? "yes" : "NO — BUG");
-      json_rows.push_back(kgrec::bench::JsonWriter()
-                              .Field("family", family.name)
-                              .Field("threads", threads)
-                              .Field("fit_seconds", run.seconds)
-                              .Field("speedup",
-                                     serial_seconds / run.seconds)
-                              .Field("bitwise", bitwise)
-                              .str());
+      report.Timing(row + "/fit_seconds", run.seconds);
+      report.Timing(row + "/speedup", serial_seconds / run.seconds);
     }
   }
 
   std::printf(
       "\nContract: the bitwise column must read 'yes' on every row; the\n"
       "speedup column tracks the machine's core count (~1.0x on 1 core).\n");
-  kgrec::bench::JsonWriter::WriteFile(
-      "BENCH_train_scaling.json",
-      kgrec::bench::JsonWriter()
-          .Field("bench", "train_scaling")
-          .Field("mode", smoke ? "smoke" : "full")
-          .Field("bitwise", all_bitwise)
-          .Field("peak_rss_bytes", kgrec::PeakRssBytes())
-          .Field("pass", all_bitwise)
-          .Raw("rows", kgrec::bench::JsonWriter::Array(json_rows))
-          .str());
-  return all_bitwise ? 0 : 1;
+  return report.Finish();
 }

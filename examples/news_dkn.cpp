@@ -35,9 +35,13 @@ int main() {
   auto evaluate = [&](Recommender& model) {
     model.Fit(ctx);
     Rng eval_rng(12);
-    CtrMetrics ctr = EvaluateCtr(model, split.train, split.test, eval_rng);
+    EvalOptions ctr_options;
+    ctr_options.seed = eval_rng.NextUint64();
+    CtrMetrics ctr = EvaluateCtr(model, split.train, split.test, ctr_options);
+    EvalOptions topk_options;
+    topk_options.seed = eval_rng.NextUint64();
     TopKMetrics topk =
-        EvaluateTopK(model, split.train, split.test, 10, 50, eval_rng);
+        EvaluateTopK(model, split.train, split.test, topk_options);
     std::printf("%-8s AUC=%.3f  F1=%.3f  NDCG@10=%.3f  HR@10=%.3f\n",
                 model.name().c_str(), ctr.auc, ctr.f1, topk.ndcg,
                 topk.hit_rate);

@@ -6,6 +6,7 @@
 #include "core/check.h"
 #include "core/thread_pool.h"
 #include "eval/metrics.h"
+#include "math/rng.h"
 #include "math/topk.h"
 
 namespace kgrec {
@@ -139,14 +140,6 @@ CtrMetrics EvaluateCtr(const Recommender& model,
   return out;
 }
 
-CtrMetrics EvaluateCtr(const Recommender& model,
-                       const InteractionDataset& train,
-                       const InteractionDataset& test, Rng& rng) {
-  EvalOptions options;
-  options.seed = rng.NextUint64();
-  return EvaluateCtr(model, train, test, options);
-}
-
 TopKMetrics EvaluateTopK(const Recommender& model,
                          const InteractionDataset& train,
                          const InteractionDataset& test,
@@ -218,17 +211,6 @@ TopKMetrics EvaluateTopK(const Recommender& model,
     out.mrr /= out.num_users;
   }
   return out;
-}
-
-TopKMetrics EvaluateTopK(const Recommender& model,
-                         const InteractionDataset& train,
-                         const InteractionDataset& test, size_t k,
-                         size_t num_negatives, Rng& rng) {
-  EvalOptions options;
-  options.k = k;
-  options.num_negatives = num_negatives;
-  options.seed = rng.NextUint64();
-  return EvaluateTopK(model, train, test, options);
 }
 
 }  // namespace kgrec

@@ -6,7 +6,6 @@
 
 #include "core/recommender.h"
 #include "data/interactions.h"
-#include "math/rng.h"
 
 namespace kgrec {
 
@@ -57,11 +56,6 @@ CtrMetrics EvaluateCtr(const Recommender& model, const InteractionDataset& train
                        const InteractionDataset& test,
                        const EvalOptions& options = {});
 
-/// Legacy entry point: consumes one draw from `rng` to derive the stream
-/// seed, then forwards to the options-based overload (serial).
-CtrMetrics EvaluateCtr(const Recommender& model, const InteractionDataset& train,
-                       const InteractionDataset& test, Rng& rng);
-
 /// Top-K evaluation: for every user with test interactions, rank that
 /// user's test items against `num_negatives` sampled non-interacted items
 /// (the standard sampled-candidate protocol) and average ranking metrics.
@@ -78,13 +72,6 @@ TopKMetrics EvaluateTopK(const Recommender& model,
                          const InteractionDataset& train,
                          const InteractionDataset& test,
                          const EvalOptions& options = {});
-
-/// Legacy entry point: consumes one draw from `rng` to derive the stream
-/// seed, then forwards to the options-based overload (serial).
-TopKMetrics EvaluateTopK(const Recommender& model,
-                         const InteractionDataset& train,
-                         const InteractionDataset& test, size_t k,
-                         size_t num_negatives, Rng& rng);
 
 }  // namespace kgrec
 

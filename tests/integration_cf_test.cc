@@ -46,8 +46,9 @@ double TrainAndAuc(Recommender& model) {
   ctx.item_kg = &f.world.item_kg;
   ctx.seed = 13;
   model.Fit(ctx);
-  Rng rng(77);
-  return EvaluateCtr(model, f.split.train, f.split.test, rng).auc;
+  EvalOptions options;
+  options.seed = Rng(77).NextUint64();
+  return EvaluateCtr(model, f.split.train, f.split.test, options).auc;
 }
 
 TEST(IntegrationCf, PopularityBeatsChance) {
@@ -95,9 +96,9 @@ TEST(IntegrationCf, TopKEvaluationProducesSaneValues) {
   ctx.train = &f.split.train;
   ctx.seed = 13;
   model.Fit(ctx);
-  Rng rng(123);
-  TopKMetrics topk =
-      EvaluateTopK(model, f.split.train, f.split.test, 10, 50, rng);
+  EvalOptions options;
+  options.seed = Rng(123).NextUint64();
+  TopKMetrics topk = EvaluateTopK(model, f.split.train, f.split.test, options);
   EXPECT_GT(topk.num_users, 50u);
   EXPECT_GT(topk.ndcg, 0.2);
   EXPECT_GE(topk.hit_rate, topk.recall);

@@ -47,8 +47,9 @@ double TrainAndAuc(Recommender& model) {
   ctx.user_item_graph = &f.ui_graph;
   ctx.seed = 17;
   model.Fit(ctx);
-  Rng rng(88);
-  return EvaluateCtr(model, f.split.train, f.split.test, rng).auc;
+  EvalOptions options;
+  options.seed = Rng(88).NextUint64();
+  return EvaluateCtr(model, f.split.train, f.split.test, options).auc;
 }
 
 TEST(IntegrationEmbed, CkeLearns) {

@@ -48,8 +48,9 @@ double TrainAndAuc(Recommender& model) {
   ctx.user_item_graph = &f.ui_graph;
   ctx.seed = 37;
   model.Fit(ctx);
-  Rng rng(222);
-  return EvaluateCtr(model, f.split.train, f.split.test, rng).auc;
+  EvalOptions options;
+  options.seed = Rng(222).NextUint64();
+  return EvaluateCtr(model, f.split.train, f.split.test, options).auc;
 }
 
 TEST(IntegrationExtended, HeteCfLearns) {

@@ -48,8 +48,9 @@ double TrainAndAuc(Recommender& model) {
   ctx.user_item_graph = &f.ui_graph;
   ctx.seed = 29;
   model.Fit(ctx);
-  Rng rng(111);
-  return EvaluateCtr(model, f.split.train, f.split.test, rng).auc;
+  EvalOptions options;
+  options.seed = Rng(111).NextUint64();
+  return EvaluateCtr(model, f.split.train, f.split.test, options).auc;
 }
 
 TEST(IntegrationPath, HeteMfLearns) {

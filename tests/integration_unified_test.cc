@@ -45,8 +45,9 @@ double TrainAndAuc(Recommender& model) {
   ctx.user_item_graph = &f.ui_graph;
   ctx.seed = 23;
   model.Fit(ctx);
-  Rng rng(99);
-  return EvaluateCtr(model, f.split.train, f.split.test, rng).auc;
+  EvalOptions options;
+  options.seed = Rng(99).NextUint64();
+  return EvaluateCtr(model, f.split.train, f.split.test, options).auc;
 }
 
 TEST(IntegrationUnified, RippleNetLearns) {

@@ -50,8 +50,9 @@ double TrainAndAuc(Recommender& model) {
   ctx.user_item_graph = &f.ui_graph;
   ctx.seed = 41;
   model.Fit(ctx);
-  Rng rng(321);
-  return EvaluateCtr(model, f.split.train, f.split.test, rng).auc;
+  EvalOptions options;
+  options.seed = Rng(321).NextUint64();
+  return EvaluateCtr(model, f.split.train, f.split.test, options).auc;
 }
 
 TEST(IntegrationWave3, SedBeatsChanceWithoutTraining) {

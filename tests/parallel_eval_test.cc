@@ -153,18 +153,6 @@ TEST(ParallelEvalProtocol, DifferentSeedsChangeSampledNegatives) {
   EXPECT_NE(ma.auc, mb.auc);
 }
 
-TEST(ParallelEvalProtocol, LegacyRngOverloadMatchesOptionsOverload) {
-  Fixture& f = SharedFixture();
-  std::unique_ptr<Recommender> model = MakeRecommender("BPR-MF");
-  model->Fit(f.Context());
-  Rng rng(55);
-  EvalOptions options;
-  options.seed = Rng(55).NextUint64();  // the wrapper's derivation
-  ExpectBitwiseEqualCtr(
-      EvaluateCtr(*model, f.split.train, f.split.test, rng),
-      EvaluateCtr(*model, f.split.train, f.split.test, options));
-}
-
 TEST(ParallelEvalProtocol, EmptyTestSetStaysEmptyAtAnyThreadCount) {
   Fixture& f = SharedFixture();
   std::unique_ptr<Recommender> model = MakeRecommender("Popularity");

@@ -54,8 +54,9 @@ struct ProtocolFixture {
 TEST(Protocol, OracleGetsPerfectCtrMetrics) {
   ProtocolFixture f;
   OracleRecommender oracle(&f.test, /*inverted=*/false);
-  Rng rng(9);
-  CtrMetrics m = EvaluateCtr(oracle, f.train, f.test, rng);
+  EvalOptions options;
+  options.seed = Rng(9).NextUint64();
+  CtrMetrics m = EvaluateCtr(oracle, f.train, f.test, options);
   EXPECT_DOUBLE_EQ(m.auc, 1.0);
   EXPECT_DOUBLE_EQ(m.accuracy, 1.0);
   EXPECT_DOUBLE_EQ(m.f1, 1.0);
@@ -117,16 +118,19 @@ TEST(Protocol, FullyInteractedUsersSkipTheirCtrPairs) {
 TEST(Protocol, InvertedOracleGetsZeroAuc) {
   ProtocolFixture f;
   OracleRecommender inverted(&f.test, /*inverted=*/true);
-  Rng rng(9);
-  CtrMetrics m = EvaluateCtr(inverted, f.train, f.test, rng);
+  EvalOptions options;
+  options.seed = Rng(9).NextUint64();
+  CtrMetrics m = EvaluateCtr(inverted, f.train, f.test, options);
   EXPECT_DOUBLE_EQ(m.auc, 0.0);
 }
 
 TEST(Protocol, OracleGetsPerfectTopK) {
   ProtocolFixture f;
   OracleRecommender oracle(&f.test, /*inverted=*/false);
-  Rng rng(10);
-  TopKMetrics m = EvaluateTopK(oracle, f.train, f.test, 10, 30, rng);
+  EvalOptions options;
+  options.num_negatives = 30;
+  options.seed = Rng(10).NextUint64();
+  TopKMetrics m = EvaluateTopK(oracle, f.train, f.test, options);
   EXPECT_DOUBLE_EQ(m.recall, 1.0);
   EXPECT_DOUBLE_EQ(m.hit_rate, 1.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 1.0);
@@ -137,10 +141,16 @@ TEST(Protocol, EmptyTestYieldsZeroPairs) {
   ProtocolFixture f;
   InteractionDataset empty(20, 40);
   OracleRecommender oracle(&f.test, false);
+  // Both evaluations draw their seeds, in order, from one generator.
   Rng rng(11);
-  CtrMetrics m = EvaluateCtr(oracle, f.train, empty, rng);
+  EvalOptions ctr_options;
+  ctr_options.seed = rng.NextUint64();
+  CtrMetrics m = EvaluateCtr(oracle, f.train, empty, ctr_options);
   EXPECT_EQ(m.num_pairs, 0u);
-  TopKMetrics t = EvaluateTopK(oracle, f.train, empty, 10, 30, rng);
+  EvalOptions topk_options;
+  topk_options.num_negatives = 30;
+  topk_options.seed = rng.NextUint64();
+  TopKMetrics t = EvaluateTopK(oracle, f.train, empty, topk_options);
   EXPECT_EQ(t.num_users, 0u);
 }
 

@@ -1,32 +1,28 @@
 #!/usr/bin/env python3
-"""Diff two sets of BENCH_*.json artifacts.
+"""Diff two snapshots of BENCH_*.json bench artifacts.
 
-Every bench emits a machine-readable BENCH_<name>.json (throughput,
-latency, peak RSS, bitwise/pass flags) into its working directory; this
-tool compares two snapshots of those artifacts — e.g. the checkout
-before and after a change, or two CI runs — and reports what moved.
+Every bench writes BENCH_<name>.json through bench::Report
+(bench/bench_util.h): {"bench", "mode", "gates", "metrics", "timings",
+"rss"}, each section a flat name -> value object. This tool compares a
+baseline snapshot with a new one section by section; the section, never
+a field name, decides how a change is treated:
+
+  gates     a gate that is false in the new snapshot, or that the
+            baseline has and the new snapshot lacks, fails the diff;
+  metrics   deterministic numbers: every change is reported;
+  timings   noisy numbers: a change is reported past --threshold percent;
+  rss       likewise.
+
+A baseline bench with no artifact in the new snapshot fails the diff, and
+so does a baseline whose mode differs from the new run's (regenerate the
+baseline).
 
 Usage:
-    tools/bench_diff.py OLD_DIR NEW_DIR [--threshold PCT]
-    tools/bench_diff.py OLD_FILE NEW_FILE [--threshold PCT]
+    tools/bench_diff.py OLD NEW [--threshold PCT]
 
-Exit status: 1 if any `pass` flag, any flag ending in `_pass` (the
-online-update frontier's per-family gates `mf_family_pass` /
-`kge_family_pass`), or any flag whose name contains `bitwise` regressed
-true -> false — that includes the SQ8-vs-float32 equality flags
-(`sq8_bitwise`, `sq8_exact_bitwise`, `int8_kernels_bitwise`), which
-must never drift. 0 otherwise (numeric drift alone never fails —
-timing noise is not a regression; the budgets inside the benches gate
-RSS and the SQ8 bytes ratio). AUC columns in BENCH_online.json
-(`stale_auc` / `updated_auc` / `refit_auc`, and the derived `recovery`)
-are seed-deterministic, so any movement is reported; `cost_ratio` is a
-timing quotient and subject to the noise threshold like the
-`*_seconds` fields it divides.
-
-Size/selection fields such as `factor_bytes`, `sq8_code_bytes` and
-`candidate_pool` are never treated as timing noise: any change is
-reported, because a silent candidate-pool or layout change is exactly
-the kind of drift this tool exists to surface.
+OLD and NEW are each a directory of BENCH_*.json files or a single file.
+Exit status: 1 on a failing or lost gate, a missing artifact or a mode
+mismatch; 0 otherwise.
 """
 
 import argparse
@@ -34,174 +30,126 @@ import json
 import os
 import sys
 
-# Fields whose drift is noise at small magnitudes; reported only past
-# the threshold.
-NUMERIC_NOISE_FIELDS = ("seconds", "_s", "_ns", "qps", "speedup", "p50",
-                        "p99", "latency", "cost_ratio")
+SECTIONS = ("gates", "metrics", "timings", "rss")
+NOISY = ("timings", "rss")
 
 
 def load(path):
     with open(path) as f:
-        return json.load(f)
-
-
-def fmt_bytes(n):
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024.0:
-            return f"{n:.1f} {unit}"
-        n /= 1024.0
-    return f"{n:.1f} TiB"
-
-
-def is_noise_field(key):
-    return any(tag in key for tag in NUMERIC_NOISE_FIELDS)
-
-
-def diff_scalar(key, old, new, threshold, lines):
-    """Appends a report line when (key, old -> new) is worth showing.
-
-    Returns True when the change is a pass/bitwise regression.
-    """
-    if isinstance(old, bool) or isinstance(new, bool):
-        if old != new:
-            gated = key == "pass" or key.endswith("_pass") or \
-                "bitwise" in key
-            tag = "REGRESSION" if old and not new and gated else "changed"
-            lines.append(f"  {key}: {old} -> {new}  [{tag}]")
-            return bool(old) and not new and gated
-        return False
-    if isinstance(old, (int, float)) and isinstance(new, (int, float)):
-        if old == new:
-            return False
-        pct = 100.0 * (new - old) / old if old else float("inf")
-        if is_noise_field(key) and abs(pct) < threshold:
-            return False
-        if "bytes" in key:
-            lines.append(f"  {key}: {fmt_bytes(old)} -> {fmt_bytes(new)}"
-                         f"  ({pct:+.1f}%)")
-        else:
-            lines.append(f"  {key}: {old:g} -> {new:g}  ({pct:+.1f}%)")
-        return False
-    if old != new:
-        lines.append(f"  {key}: {old!r} -> {new!r}")
-    return False
-
-
-def is_row_list(value):
-    return isinstance(value, list) and all(
-        isinstance(item, dict) for item in value)
-
-
-def row_label(row, index):
-    for tag in ("model", "family", "kernel", "stage", "structure", "index",
-                "catalog"):
-        if tag in row:
-            extra = f"@{row['catalog']}" if tag != "catalog" and \
-                "catalog" in row else ""
-            return f"{row[tag]}{extra}"
-    return str(index)
-
-
-def diff_rows(field, old_rows, new_rows, threshold, lines):
-    """Positionally diffs one list-of-dicts field (models / sweep /
-    stages / structures / rows). Returns True on a gated regression."""
-    regressed = False
-    if len(old_rows) != len(new_rows):
-        lines.append(
-            f"  {field}: {len(old_rows)} -> {len(new_rows)} entries")
-        return False
-    for i, (o, n) in enumerate(zip(old_rows, new_rows)):
-        row_lines = []
-        row_regressed = False
-        for key in o.keys() & n.keys():
-            if diff_scalar(key, o[key], n[key], threshold, row_lines):
-                row_regressed = True
-        for key in o.keys() - n.keys():
-            row_lines.append(f"  {key}: {o[key]!r} -> (absent)")
-        for key in n.keys() - o.keys():
-            row_lines.append(f"  {key}: (absent) -> {n[key]!r}")
-        if row_lines:
-            lines.append(f"  {field}[{row_label(o, i)}]:")
-            lines.extend("  " + l for l in sorted(row_lines))
-        regressed = regressed or row_regressed
-    return regressed
-
-
-def diff_bench(name, old, new, threshold):
-    """Returns (report_lines, regressed)."""
-    lines = []
-    regressed = False
-    keys = list(dict.fromkeys(list(old.keys()) + list(new.keys())))
-    for key in keys:
-        if is_row_list(old.get(key)) or is_row_list(new.get(key)):
-            continue  # handled positionally below
-        if key not in old:
-            lines.append(f"  {key}: (absent) -> {new[key]!r}")
-            continue
-        if key not in new:
-            lines.append(f"  {key}: {old[key]!r} -> (absent)")
-            continue
-        if diff_scalar(key, old[key], new[key], threshold, lines):
-            regressed = True
-    # Row-level: every list-of-dicts field (rows, models, sweep, stages,
-    # structures) is matched positionally when the shape is unchanged.
-    for key in keys:
-        old_value, new_value = old.get(key, []), new.get(key, [])
-        if not (is_row_list(old_value) and is_row_list(new_value)):
-            if is_row_list(old_value) or is_row_list(new_value):
-                lines.append(f"  {key}: shape changed")
-            continue
-        if diff_rows(key, old_value, new_value, threshold, lines):
-            regressed = True
-    return lines, regressed
+        report = json.load(f)
+    missing = [key for key in ("bench", "mode") + SECTIONS
+               if key not in report]
+    if missing:
+        sys.exit(f"{path}: not a bench report (missing "
+                 f"{', '.join(missing)}); regenerate it")
+    return report
 
 
 def collect(path):
-    """Maps bench name -> parsed JSON for a file or a directory."""
+    """Maps bench name -> report for a file or a directory."""
     if os.path.isfile(path):
-        data = load(path)
-        return {data.get("bench", os.path.basename(path)): data}
-    out = {}
-    for entry in sorted(os.listdir(path)):
-        if entry.startswith("BENCH_") and entry.endswith(".json"):
-            data = load(os.path.join(path, entry))
-            out[data.get("bench", entry)] = data
-    return out
+        paths = [path]
+    elif os.path.isdir(path):
+        paths = [os.path.join(path, entry) for entry in sorted(os.listdir(path))
+                 if entry.startswith("BENCH_") and entry.endswith(".json")]
+    else:
+        sys.exit(f"{path}: no such file or directory")
+    return {report["bench"]: report for report in map(load, paths)}
+
+
+def show(value):
+    if value is None:
+        return "(absent)"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:g}"
+
+
+def diff_gates(old, new):
+    """Returns (report_lines, failed)."""
+    lines, failed = [], False
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name), new.get(name)
+        if now is None:
+            lines.append(f"  gate {name}: {show(was)} -> (absent)  [LOST]")
+            failed = True
+        elif not now:
+            tag = "REGRESSION" if was else "FAILING"
+            lines.append(f"  gate {name}: {show(was)} -> false  [{tag}]")
+            failed = True
+        elif was is not True:
+            lines.append(f"  gate {name}: {show(was)} -> true")
+    return lines, failed
+
+
+def diff_numbers(section, old, new, threshold):
+    """Report lines for one numeric section. A JSON null (a non-finite
+    number) compares only for equality."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name in old and name in new and old[name] == new[name]:
+            continue
+        was, now = old.get(name), new.get(name)
+        line = f"  {section} {name}: {show(was)} -> {show(now)}"
+        if isinstance(was, (int, float)) and isinstance(now, (int, float)):
+            pct = 100.0 * (now - was) / abs(was) if was else float("inf")
+            if section in NOISY and abs(pct) < threshold:
+                continue
+            line += f"  ({pct:+.1f}%)"
+        lines.append(line)
+    return lines
+
+
+def diff_bench(old, new, threshold):
+    """Returns (report_lines, failed) for one bench."""
+    if old["mode"] != new["mode"]:
+        return [f"  mode {old['mode']!r} -> {new['mode']!r}: "
+                "regenerate the baseline  [STALE]"], True
+    lines, failed = diff_gates(old["gates"], new["gates"])
+    for section in SECTIONS[1:]:
+        lines += diff_numbers(section, old[section], new[section], threshold)
+    return lines, failed
 
 
 def main():
     parser = argparse.ArgumentParser(
         description="Diff BENCH_*.json artifacts between two snapshots.")
-    parser.add_argument("old", help="old snapshot: a directory or one file")
+    parser.add_argument("old", help="baseline: a directory or one file")
     parser.add_argument("new", help="new snapshot: a directory or one file")
     parser.add_argument("--threshold", type=float, default=5.0,
-                        help="hide timing drift below this percent "
+                        help="hide timings/rss drift below this percent "
                              "(default 5)")
     args = parser.parse_args()
 
     old_set, new_set = collect(args.old), collect(args.new)
-    names = list(dict.fromkeys(list(old_set.keys()) + list(new_set.keys())))
-    if not names:
+    if not old_set and not new_set:
         print("no BENCH_*.json artifacts found")
         return 0
 
-    any_regressed = False
-    for name in names:
-        if name not in old_set:
-            print(f"== {name}: new bench (no old artifact)")
-            continue
+    any_failed = False
+    for name in sorted(old_set.keys() | new_set.keys()):
         if name not in new_set:
-            print(f"== {name}: artifact missing in new snapshot")
+            print(f"== {name}: artifact missing in new snapshot  [MISSING]")
+            any_failed = True
             continue
-        lines, regressed = diff_bench(name, old_set[name], new_set[name],
-                                      args.threshold)
-        any_regressed = any_regressed or regressed
+        new = new_set[name]
+        if name in old_set:
+            header = f"== {name}"
+            lines, failed = diff_bench(old_set[name], new, args.threshold)
+        else:
+            header = f"== {name}: new bench (no baseline)"
+            lines, failed = diff_gates({}, new["gates"])
+        any_failed = any_failed or failed
         if lines:
-            print(f"== {name}")
+            print(header)
             print("\n".join(lines))
         else:
-            print(f"== {name}: no change above threshold")
-    return 1 if any_regressed else 0
+            print(f"{header}: {len(new['gates'])} gates pass, "
+                  "no change above threshold")
+    if any_failed:
+        print("FAIL: a gate failed or was lost, an artifact is missing, "
+              "or a baseline is stale")
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":
