@@ -20,10 +20,8 @@ struct CfkgConfig {
   float l2 = 1e-5f;
   /// KGE backend name ("transe" in the paper; any backend works).
   std::string kge = "transe";
-  /// KGE training threads (KgeTrainConfig::num_threads): 0 = legacy
-  /// serial loop, >= 1 = deterministic sharded trainer whose parameters
-  /// are bitwise-identical at any thread count.
-  size_t num_threads = 0;
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
 };
 
 /// CFKG (Zhang et al., survey Eq. 7): user behaviour becomes a relation

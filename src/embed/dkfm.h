@@ -15,10 +15,8 @@ struct DkfmConfig {
   float learning_rate = 0.05f;
   float l2 = 1e-5f;
   int kge_epochs = 10;
-  /// Threads for the TransE pretraining stage
-  /// (KgeTrainConfig::num_threads): 0 = legacy serial loop, >= 1 =
-  /// deterministic sharded trainer.
-  size_t num_threads = 0;
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
 };
 
 /// DKFM (Dadoun et al., WWW'19 companion): deep knowledge factorization

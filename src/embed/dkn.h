@@ -20,10 +20,8 @@ struct DknConfig {
   size_t max_history = 10;
   /// Pseudo-words per item beyond its KG entities (title noise words).
   size_t noise_words_per_item = 2;
-  /// Threads for the TransD pretraining stage
-  /// (KgeTrainConfig::num_threads): 0 = legacy serial loop, >= 1 =
-  /// deterministic sharded trainer.
-  size_t num_threads = 0;
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
 };
 
 /// DKN (Wang et al., WWW'18; survey Eq. 4-5): each news item is encoded

@@ -22,11 +22,11 @@ struct KsrConfig {
   float l2 = 1e-5f;
   /// Maximum sequence length fed to the GRU.
   size_t max_sequence = 10;
-  int kge_epochs = 8;
-  /// Threads for the TransE pretraining stage
-  /// (KgeTrainConfig::num_threads): 0 = legacy serial loop, >= 1 =
-  /// deterministic sharded trainer.
-  size_t num_threads = 0;
+  /// TransE pretraining epochs. The memory values are the pretrained
+  /// attribute embeddings, so an undertrained TransE caps KSR's accuracy.
+  int kge_epochs = 40;
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
 };
 
 /// KSR (Huang et al., SIGIR'18): knowledge-enhanced sequential

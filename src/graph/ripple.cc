@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "core/check.h"
-#include "core/thread_pool.h"
 
 namespace kgrec {
 
@@ -47,25 +46,6 @@ std::vector<RippleHop> BuildRippleSets(const KnowledgeGraph& graph,
     hops.push_back(std::move(hop));
   }
   return hops;
-}
-
-std::vector<std::vector<RippleHop>> BuildRippleSetsParallel(
-    const KnowledgeGraph& graph,
-    const std::vector<std::vector<EntityId>>& seed_lists, size_t num_hops,
-    size_t max_hop_size, const Rng& base_rng, size_t num_threads) {
-  KGREC_CHECK(graph.finalized());
-  std::vector<std::vector<RippleHop>> out(seed_lists.size());
-  const Status status = ParallelFor(
-      seed_lists.size(), num_threads, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          Rng unit_rng = base_rng.Fork(i);
-          out[i] = BuildRippleSets(graph, seed_lists[i], num_hops,
-                                   max_hop_size, unit_rng);
-        }
-        return Status::OK();
-      });
-  KGREC_CHECK(status.ok());
-  return out;
 }
 
 std::vector<EntityId> RelevantEntities(const std::vector<RippleHop>& hops,

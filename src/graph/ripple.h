@@ -27,18 +27,6 @@ std::vector<RippleHop> BuildRippleSets(const KnowledgeGraph& graph,
                                        size_t num_hops, size_t max_hop_size,
                                        Rng& rng);
 
-/// Builds ripple sets for many seed lists at once, in parallel.
-///
-/// Unit i draws every down-sampling decision from the counter-forked
-/// stream `base_rng.Fork(i)`, so the result for each unit depends only
-/// on (graph, seed_lists[i], base_rng) — never on the thread count or
-/// on how many draws other units made. `base_rng` itself is not
-/// advanced. Empty seed lists yield `num_hops` empty hops.
-std::vector<std::vector<RippleHop>> BuildRippleSetsParallel(
-    const KnowledgeGraph& graph,
-    const std::vector<std::vector<EntityId>>& seed_lists, size_t num_hops,
-    size_t max_hop_size, const Rng& base_rng, size_t num_threads);
-
 /// The k-hop relevant entity set E^k implied by ripple hops: the tails of
 /// hop k (E^0 = seeds).
 std::vector<EntityId> RelevantEntities(const std::vector<RippleHop>& hops,

@@ -7,75 +7,15 @@
 #include "nn/optim.h"
 
 namespace kgrec {
-namespace {
 
-/// Legacy serial loop: one sequential RNG stream for shuffling and
-/// corruption, left-to-right gradient accumulation. Preserved verbatim
-/// so num_threads = 0 reproduces the historical float sequence.
-float TrainKgeSerial(KgeModel& model, const KnowledgeGraph& graph,
-                     const KgeTrainConfig& config) {
-  Rng rng(config.seed);
-  const auto& triples = graph.triples();
-  nn::Adagrad optimizer(model.Params(), config.learning_rate);
-
-  std::vector<size_t> order(triples.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-
-  float last_epoch_loss = 0.0f;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(order);
-    double epoch_loss = 0.0;
-    size_t num_batches = 0;
-    for (size_t start = 0; start < order.size();
-         start += config.batch_size) {
-      const size_t end = std::min(order.size(), start + config.batch_size);
-      std::vector<int32_t> heads, rels, tails;
-      std::vector<int32_t> neg_heads, neg_tails;
-      for (size_t i = start; i < end; ++i) {
-        const Triple& t = triples[order[i]];
-        heads.push_back(t.head);
-        rels.push_back(t.relation);
-        tails.push_back(t.tail);
-        // Uniform head-or-tail corruption.
-        int32_t nh = t.head, nt = t.tail;
-        if (rng.Bernoulli(0.5)) {
-          nh = static_cast<int32_t>(rng.UniformInt(graph.num_entities()));
-        } else {
-          nt = static_cast<int32_t>(rng.UniformInt(graph.num_entities()));
-        }
-        neg_heads.push_back(nh);
-        neg_tails.push_back(nt);
-      }
-      nn::Tensor pos = model.ScoreBatch(heads, rels, tails);
-      nn::Tensor neg = model.ScoreBatch(neg_heads, rels, neg_tails);
-      // Hinge with "higher = plausible" scores:
-      // mean [margin + neg - pos]_+  == MarginRankingLoss(neg, pos, margin).
-      nn::Tensor loss = nn::MarginRankingLoss(neg, pos, config.margin);
-      if (config.l2 > 0.0f) {
-        nn::Tensor reg = nn::Add(nn::L2Norm(pos), nn::L2Norm(neg));
-        loss = nn::Add(loss, nn::ScaleBy(reg, config.l2));
-      }
-      optimizer.ZeroGrad();
-      nn::Backward(loss);
-      optimizer.Step();
-      epoch_loss += loss.value();
-      ++num_batches;
-    }
-    model.PostEpoch();
-    last_epoch_loss =
-        num_batches > 0 ? static_cast<float>(epoch_loss / num_batches) : 0.0f;
-  }
-  return last_epoch_loss;
-}
-
-/// Sharded deterministic loop: minibatch b splits into fixed-size
-/// shards, shard s draws its corruption negatives from
-/// rng.Fork(b).Fork(s), and MiniBatchTrainer reduces shard gradients in
-/// shard order before a single Adagrad apply. The epoch RNG advances
-/// only through Shuffle, so per-batch forks are reproducible; thread
-/// count never enters the arithmetic.
-float TrainKgeSharded(KgeModel& model, const KnowledgeGraph& graph,
-                      const KgeTrainConfig& config) {
+// Minibatch b splits into fixed-size shards, shard s draws its
+// corruption negatives from rng.Fork(b).Fork(s), and MiniBatchTrainer
+// reduces shard gradients in shard order before a single Adagrad apply.
+// The epoch RNG advances only through Shuffle, so per-batch forks are
+// reproducible; thread count never enters the arithmetic.
+float TrainKge(KgeModel& model, const KnowledgeGraph& graph,
+               const KgeTrainConfig& config) {
+  KGREC_CHECK_GT(graph.num_triples(), 0u);
   Rng rng(config.seed);
   const auto& triples = graph.triples();
   nn::Adagrad optimizer(model.Params(), config.learning_rate);
@@ -144,15 +84,6 @@ float TrainKgeSharded(KgeModel& model, const KnowledgeGraph& graph,
         num_batches > 0 ? static_cast<float>(epoch_loss / num_batches) : 0.0f;
   }
   return last_epoch_loss;
-}
-
-}  // namespace
-
-float TrainKge(KgeModel& model, const KnowledgeGraph& graph,
-               const KgeTrainConfig& config) {
-  KGREC_CHECK_GT(graph.num_triples(), 0u);
-  return config.num_threads == 0 ? TrainKgeSerial(model, graph, config)
-                                 : TrainKgeSharded(model, graph, config);
 }
 
 LinkPredictionMetrics EvaluateLinkPrediction(const KgeModel& model,

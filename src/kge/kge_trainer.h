@@ -17,17 +17,12 @@ struct KgeTrainConfig {
   float margin = 1.0f;
   float l2 = 1e-5f;
   uint64_t seed = 11;
-  /// Training threads. 0 (default) keeps the legacy serial loop, which
-  /// draws all corruption negatives from one sequential RNG stream and
-  /// reproduces the historical float sequence exactly. >= 1 switches to
-  /// the sharded MiniBatchTrainer: each minibatch splits into fixed
-  /// `shard_size` shards, shard s of batch b draws its negatives from
-  /// the counter-forked stream Fork(b).Fork(s), and shard gradients are
-  /// reduced in shard order — so trained parameters depend only on
-  /// (seed, batch_size, shard_size) and are bitwise-identical for any
-  /// num_threads >= 1.
-  size_t num_threads = 0;
-  /// Examples per gradient shard in the sharded mode.
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
+  /// Examples per gradient shard. Each minibatch splits into fixed
+  /// shards; shard s of batch b draws its negatives from Fork(b).Fork(s)
+  /// and shard gradients reduce in shard order, so trained parameters
+  /// depend on (seed, batch_size, shard_size) and never on num_threads.
   size_t shard_size = 64;
 };
 

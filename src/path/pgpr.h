@@ -28,10 +28,8 @@ struct PgprConfig {
   float l2 = 1e-5f;
   /// Beam width of the inference-time path search.
   size_t beam_width = 24;
-  /// Threads for the KGE pretraining stage
-  /// (KgeTrainConfig::num_threads): 0 = legacy serial loop, >= 1 =
-  /// deterministic sharded trainer.
-  size_t num_threads = 0;
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
 };
 
 /// PGPR (Xian et al., SIGIR'19): policy-guided path reasoning. The

@@ -124,9 +124,18 @@ void RippleNetRecommender::RefreshAux(
     const RecContext& /*context*/,
     const std::vector<int32_t>& /*touched_items*/, const Rng& /*base_rng*/) {}
 
-void RippleNetRecommender::FillUserRipples(
-    int32_t u, const std::vector<EntityId>& seed_entities,
-    const std::vector<RippleHop>& hops, Rng& resample_rng) {
+void RippleNetRecommender::BuildUserRipples(const InteractionDataset& train,
+                                            const KnowledgeGraph& kg,
+                                            int32_t u, const Rng& hop_rng,
+                                            const Rng& pad_rng) {
+  const auto& items = train.UserItems(u);
+  if (items.empty()) return;
+  const std::vector<EntityId> seed_entities(items.begin(), items.end());
+  Rng user_hop_rng = hop_rng.Fork(u);
+  const std::vector<RippleHop> hops =
+      BuildRippleSets(kg, seed_entities, config_.num_hops,
+                      config_.hop_size * 4, user_hop_rng);
+  Rng resample_rng = pad_rng.Fork(u);
   // Pads the seed slots and each hop to hop_size by resampling
   // (self-loops for isolated seeds keep shapes fixed).
   ripples_.filled[u] = 1;
@@ -191,48 +200,22 @@ void RippleNetRecommender::BuildPropagationState(const RecContext& context,
 
   PrepareAux(context, rng);
 
-  // Precompute fixed-size ripple sets per user from training history
-  // (FillUserRipples pads each hop to hop_size by resampling).
+  // Precompute fixed-size ripple sets per user from training history.
+  // Each user draws from their own counter-forked streams, so results are
+  // bitwise-identical at any thread count. Fork() is const, so the main
+  // stream is unaffected by how many draws the build makes.
   ripples_.Reset(train.num_users(), config_.num_hops, config_.hop_size);
-  if (config_.num_threads == 0) {
-    // Legacy serial build: one shared sequential stream for every user
-    // (the historical float/draw sequence, preserved exactly).
-    for (int32_t u = 0; u < train.num_users(); ++u) {
-      const auto& seeds = train.UserItems(u);
-      if (seeds.empty()) continue;
-      std::vector<EntityId> seed_entities(seeds.begin(), seeds.end());
-      std::vector<RippleHop> hops = BuildRippleSets(
-          kg, seed_entities, config_.num_hops, config_.hop_size * 4, rng);
-      FillUserRipples(u, seed_entities, hops, rng);
-    }
-  } else {
-    // Deterministic parallel build: hop construction and hop padding
-    // each give user u its own counter-forked stream, so results are
-    // bitwise-identical at any thread count. Fork() is const, so the
-    // main stream is unaffected by how many draws the build makes.
-    const Rng hop_rng = rng.Fork(1);
-    const Rng pad_rng = rng.Fork(2);
-    std::vector<std::vector<EntityId>> seed_lists(train.num_users());
-    for (int32_t u = 0; u < train.num_users(); ++u) {
-      const auto& seeds = train.UserItems(u);
-      seed_lists[u].assign(seeds.begin(), seeds.end());
-    }
-    std::vector<std::vector<RippleHop>> all_hops = BuildRippleSetsParallel(
-        kg, seed_lists, config_.num_hops, config_.hop_size * 4, hop_rng,
-        config_.num_threads);
-    const Status status = ParallelFor(
-        train.num_users(), config_.num_threads,
-        [&](size_t begin, size_t end) {
-          for (size_t u = begin; u < end; ++u) {
-            if (seed_lists[u].empty()) continue;
-            Rng user_rng = pad_rng.Fork(u);
-            FillUserRipples(static_cast<int32_t>(u), seed_lists[u],
-                            all_hops[u], user_rng);
-          }
-          return Status::OK();
-        });
-    KGREC_CHECK(status.ok());
-  }
+  const Rng hop_rng = rng.Fork(1);
+  const Rng pad_rng = rng.Fork(2);
+  const Status status = ParallelFor(
+      train.num_users(), config_.num_threads, [&](size_t begin, size_t end) {
+        for (size_t u = begin; u < end; ++u) {
+          BuildUserRipples(train, kg, static_cast<int32_t>(u), hop_rng,
+                           pad_rng);
+        }
+        return Status::OK();
+      });
+  KGREC_CHECK(status.ok());
 }
 
 Status RippleNetRecommender::Update(const RecContext& context,
@@ -325,21 +308,11 @@ Status RippleNetRecommender::Update(const RecContext& context,
       touched_items.end());
   RefreshAux(context, touched_items, base_rng.Fork(kAuxStream));
 
-  // Rebuild each marked user's ripple row from Fork(user)-keyed streams
-  // (same split as the parallel fit-time build: hops then padding).
+  // Rebuild each marked user's ripple row with the fit-time build.
   const Rng hop_rng = base_rng.Fork(kHopStream);
   const Rng pad_rng = base_rng.Fork(kPadStream);
   for (int32_t u = 0; u < train.num_users(); ++u) {
-    if (!refresh[u]) continue;
-    const auto& seeds = train.UserItems(u);
-    if (seeds.empty()) continue;
-    const std::vector<EntityId> seed_entities(seeds.begin(), seeds.end());
-    Rng user_hop_rng = hop_rng.Fork(u);
-    const std::vector<RippleHop> hops =
-        BuildRippleSets(kg, seed_entities, config_.num_hops,
-                        config_.hop_size * 4, user_hop_rng);
-    Rng user_pad_rng = pad_rng.Fork(u);
-    FillUserRipples(u, seed_entities, hops, user_pad_rng);
+    if (refresh[u]) BuildUserRipples(train, kg, u, hop_rng, pad_rng);
   }
   return Status::OK();
 }
@@ -354,10 +327,10 @@ std::string RippleNetRecommender::HyperFingerprint() const {
       .Add("lr", config_.learning_rate)
       .Add("l2", config_.l2)
       .Add("kge_weight", config_.kge_weight)
-      // The serial (num_threads == 0) and forked (>= 1) ripple builds
-      // draw different RNG sequences, so checkpoints are only portable
-      // within one mode; any thread count >= 1 is bitwise-identical.
-      .Add("ripple_rng", config_.num_threads == 0 ? 0.0 : 1.0)
+      // Marks the Fork(user)-keyed ripple build. Checkpoints from the
+      // retired shared-stream build carried 0 and are refused, since
+      // PrepareLoad could not rebuild their ripple sets.
+      .Add("ripple_rng", 1.0)
       .str();
 }
 

@@ -25,13 +25,8 @@ struct RippleNetConfig {
   /// Weight of the KGE regularization term ||R - E^T E|| surrogate
   /// (we regularize hop triple plausibility h^T R t).
   float kge_weight = 0.01f;
-  /// Threads for per-user ripple-set construction. 0 (default) keeps the
-  /// legacy serial build, where every user draws from one sequential RNG
-  /// stream. >= 1 switches to the deterministic parallel build: user u
-  /// draws from its own counter-forked stream, so the ripple sets (and
-  /// everything trained on them) are bitwise-identical at any thread
-  /// count >= 1. SGD itself is unchanged in both modes.
-  size_t num_threads = 0;
+  /// Training threads: a speed knob only (0 runs inline like 1).
+  size_t num_threads = 1;
 };
 
 /// RippleNet (Wang et al., CIKM'18; survey Eq. 24-26): the first
@@ -150,13 +145,15 @@ class RippleNetRecommender : public Recommender {
                           const std::vector<int32_t>& touched_items,
                           const Rng& base_rng);
 
-  /// Writes one user's padded seed slots and hop triples into the
-  /// arena (shared by the fit-time build and Update's refresh; all
-  /// draws come from `resample_rng` in a fixed order).
-  void FillUserRipples(int32_t user,
-                       const std::vector<EntityId>& seed_entities,
-                       const std::vector<RippleHop>& hops,
-                       Rng& resample_rng);
+  /// Builds one user's padded seed slots and hop triples into the arena
+  /// from their training history (users with none stay unfilled). Hop
+  /// construction draws from hop_rng.Fork(user) and padding from
+  /// pad_rng.Fork(user). Shared by the fit-time build and Update's
+  /// refresh; users own disjoint arena rows, so they may be built
+  /// concurrently.
+  void BuildUserRipples(const InteractionDataset& train,
+                        const KnowledgeGraph& kg, int32_t user,
+                        const Rng& hop_rng, const Rng& pad_rng);
 
   RippleNetConfig config_;
   RippleArena ripples_;

@@ -479,51 +479,6 @@ TEST(Ripple, HopSizeIsCapped) {
   }
 }
 
-void ExpectSameHops(const std::vector<RippleHop>& a,
-                    const std::vector<RippleHop>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t k = 0; k < a.size(); ++k) {
-    ASSERT_EQ(a[k].triples.size(), b[k].triples.size());
-    for (size_t i = 0; i < a[k].triples.size(); ++i) {
-      EXPECT_EQ(a[k].triples[i], b[k].triples[i]);
-    }
-  }
-}
-
-TEST(Ripple, ParallelBuildIdenticalAcrossThreadCounts) {
-  // Each unit draws from base_rng.Fork(i), so the result depends only on
-  // the seed lists — never on the thread count or work order — and unit i
-  // matches a direct BuildRippleSets call on the forked stream. Tight
-  // max_hop_size forces actual sampling, so the RNG streams matter.
-  KnowledgeGraph kg = MovieGraph();
-  const Rng base_rng(23);
-  std::vector<std::vector<EntityId>> seed_lists;
-  for (EntityId e = 0; e < static_cast<EntityId>(kg.num_entities()); ++e) {
-    seed_lists.push_back({e});
-  }
-  seed_lists.push_back({});  // empty seeds: num_hops empty hops
-  const auto ref =
-      BuildRippleSetsParallel(kg, seed_lists, 2, 1, base_rng, 1);
-  ASSERT_EQ(ref.size(), seed_lists.size());
-  for (size_t threads : {2u, 8u}) {
-    const auto other =
-        BuildRippleSetsParallel(kg, seed_lists, 2, 1, base_rng, threads);
-    ASSERT_EQ(other.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ExpectSameHops(other[i], ref[i]);
-    }
-  }
-  for (size_t i = 0; i < seed_lists.size(); ++i) {
-    Rng unit_rng = base_rng.Fork(i);
-    ExpectSameHops(ref[i],
-                   BuildRippleSets(kg, seed_lists[i], 2, 1, unit_rng));
-  }
-  ASSERT_EQ(ref.back().size(), 2u);
-  for (const RippleHop& hop : ref.back()) {
-    EXPECT_TRUE(hop.triples.empty());
-  }
-}
-
 class AggregatorParamTest
     : public ::testing::TestWithParam<AggregatorKind> {};
 

@@ -40,13 +40,13 @@ Fixture& SharedFixture() {
   return *fixture;
 }
 
-double TrainAndAuc(Recommender& model) {
+double TrainAndAuc(Recommender& model, uint64_t seed = 37) {
   Fixture& f = SharedFixture();
   RecContext ctx;
   ctx.train = &f.split.train;
   ctx.item_kg = &f.world.item_kg;
   ctx.user_item_graph = &f.ui_graph;
-  ctx.seed = 37;
+  ctx.seed = seed;
   model.Fit(ctx);
   EvalOptions options;
   options.seed = Rng(222).NextUint64();
@@ -73,10 +73,12 @@ TEST(IntegrationExtended, ShineLearns) {
 }
 
 TEST(IntegrationExtended, KsrLearns) {
-  KsrRecommender model;  // default epochs
-  // KSR sits close to this bound; it moved from 0.60 when evaluation
-  // switched to per-interaction counter-based negative streams.
-  EXPECT_GT(TrainAndAuc(model), 0.58);
+  // Every context seed in a range must clear the bound, so one lucky
+  // seed cannot carry the gate.
+  for (uint64_t seed = 37; seed <= 46; ++seed) {
+    KsrRecommender model;  // default epochs
+    EXPECT_GT(TrainAndAuc(model, seed), 0.58) << "context seed " << seed;
+  }
 }
 
 TEST(IntegrationExtended, KniLearns) {

@@ -1,5 +1,5 @@
 // Determinism lockdown of the multi-threaded training paths: training
-// with num_threads = 1, 2 and 8 must produce **bitwise identical**
+// with num_threads = 0, 1, 2 and 8 must produce **bitwise identical**
 // parameters (KGE substrate, compared via SnapshotParams) and scores
 // (model families, compared via Score() grids). The shard layout,
 // per-shard counter-forked RNG streams (Rng::Fork) and the ordered
@@ -168,7 +168,7 @@ TEST_P(ParallelKgeTrain, ParamsBitwiseIdenticalAcrossThreadCounts) {
   const TrainedKge ref = TrainBackend(GetParam(), 1);
   ASSERT_FALSE(ref.params.empty());
   EXPECT_TRUE(std::isfinite(ref.loss));
-  for (size_t threads : {2u, 8u}) {
+  for (size_t threads : {0u, 2u, 8u}) {
     const TrainedKge other = TrainBackend(GetParam(), threads);
     EXPECT_EQ(other.loss, ref.loss) << threads << " threads";
     ExpectBitwiseEqualParams(other.params, ref.params);
@@ -247,6 +247,7 @@ TEST(ParallelTrainFamilies, CfkgBitwiseIdenticalAcrossThreadCounts) {
   };
   const std::vector<float> ref = run(1);
   ASSERT_FALSE(ref.empty());
+  EXPECT_EQ(run(0), ref);
   EXPECT_EQ(run(2), ref);
   EXPECT_EQ(run(8), ref);
 }
@@ -262,6 +263,7 @@ TEST(ParallelTrainFamilies, RippleNetBitwiseIdenticalAcrossThreadCounts) {
   };
   const std::vector<float> ref = run(1);
   ASSERT_FALSE(ref.empty());
+  EXPECT_EQ(run(0), ref);
   EXPECT_EQ(run(2), ref);
   EXPECT_EQ(run(8), ref);
 }
@@ -293,19 +295,6 @@ TEST(ParallelTrainFamilies, KprnBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(ref.empty());
   EXPECT_EQ(run(2), ref);
   EXPECT_EQ(run(8), ref);
-}
-
-TEST(ParallelTrainFamilies, LegacySerialKgeModeIsTheDefault) {
-  // num_threads = 0 must keep the historical single-stream float
-  // sequence; the sharded mode (num_threads >= 1) draws different
-  // negative streams, so on a non-degenerate world the two usually
-  // disagree. This guards against silently rerouting the default.
-  KgeTrainConfig config;
-  EXPECT_EQ(config.num_threads, 0u);
-  CfkgConfig cfkg;
-  EXPECT_EQ(cfkg.num_threads, 0u);
-  RippleNetConfig ripple;
-  EXPECT_EQ(ripple.num_threads, 0u);
 }
 
 }  // namespace

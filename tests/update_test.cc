@@ -27,6 +27,9 @@
 #include "graph/knowledge_graph.h"
 #include "serve/router.h"
 #include "serve/serve_handle.h"
+#include "unified/akupm.h"
+#include "unified/ripplenet.h"
+#include "unified/ripplenet_agg.h"
 
 namespace kgrec {
 namespace {
@@ -617,6 +620,41 @@ TEST(SwapFromUpdate, NonRegistryConfigCloneFailsAndOldGenerationServes) {
   EXPECT_EQ(std::memcmp(response.scores.data(), before.data(),
                         before.size() * sizeof(float)),
             0);
+}
+
+TEST(SwapFromUpdate, ThreadedRippleFamilyClonesAndSwaps) {
+  // Thread count is not a hyper-parameter: a RippleNet-family model fit
+  // with 4 threads clones into the registry-default instance with
+  // bitwise-equal scores, and the router folds a batch into it.
+  const EventStream stream(TinyStreamConfig());
+  const WorldChain world(stream, 1);
+  const RecContext base_ctx = world.Context(0, 17);
+  RippleNetConfig config;
+  config.num_threads = 4;
+  std::vector<std::unique_ptr<Recommender>> models;
+  models.push_back(std::make_unique<RippleNetRecommender>(config));
+  models.push_back(std::make_unique<RippleNetAggRecommender>(config));
+  models.push_back(std::make_unique<AkupmRecommender>(config));
+  serve::RouterConfig router_config;
+  router_config.num_threads = 1;
+  for (std::unique_ptr<Recommender>& model : models) {
+    const std::string name = model->name();
+    model->Fit(base_ctx);
+    std::unique_ptr<Recommender> clone;
+    ASSERT_TRUE(CloneModel(*model, base_ctx, &clone).ok()) << name;
+    ExpectScoresBitwise(*clone, *model, world.train[0].num_users(),
+                        stream.num_items());
+
+    serve::Router router(router_config,
+                         serve::ServeHandle::Adopt(std::move(model),
+                                                   base_ctx, 1));
+    EXPECT_TRUE(router
+                    .SwapFromUpdate(base_ctx, world.Context(1, 17),
+                                    world.batches[0])
+                    .ok())
+        << name;
+    EXPECT_EQ(router.current()->generation(), 2u) << name;
+  }
 }
 
 TEST(SwapFromUpdate, ConcurrentRoutersMatchTheirOwnSerialChains) {
