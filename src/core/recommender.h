@@ -135,7 +135,9 @@ class Recommender {
   ///    bitwise identical and no thread count enters the result;
   ///  * after Update returns, the serve-path const contract holds
   ///    again (Score/ScoreItems thread-safe, mutation-free);
-  ///  * on any non-OK return the model is unchanged.
+  ///  * on any non-OK return the model is unchanged;
+  ///  * it passes its own full online_updates gate (<model>/recovers):
+  ///    a fold that serves worse than not folding is worse than none.
   /// The default refuses with kUnimplemented and touches nothing.
   virtual Status Update(const RecContext& context, const EventBatch& batch);
 

@@ -2,20 +2,9 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "data/event_stream.h"
 #include "kge/kge_trainer.h"
-#include "nn/ops.h"
 
 namespace kgrec {
-
-namespace {
-
-// Update-path RNG streams (counter-keyed forks of Rng(context.seed)).
-constexpr uint64_t kGrowStream = 101;
-constexpr uint64_t kFoldStream = 102;
-constexpr int kFoldPasses = 3;
-
-}  // namespace
 
 void CfkgRecommender::Fit(const RecContext& context) {
   KGREC_CHECK(context.user_item_graph != nullptr);
@@ -34,72 +23,6 @@ void CfkgRecommender::Fit(const RecContext& context) {
   train_config.num_threads = config_.num_threads;
   TrainKge(*model_, kg, train_config);
   BuildItemFactors();
-}
-
-Status CfkgRecommender::Update(const RecContext& context,
-                               const EventBatch& batch) {
-  KGREC_CHECK(context.user_item_graph != nullptr);
-  if (model_ == nullptr) {
-    return Status::FailedPrecondition(
-        "CFKG Update() requires a fitted (or loaded) model");
-  }
-  graph_ = context.user_item_graph;  // the post-batch world
-  const KnowledgeGraph& kg = graph_->kg;
-  const Rng base_rng(context.seed);
-  model_->GrowEntities(kg.num_entities(), base_rng.Fork(kGrowStream));
-  for (const Event& e : batch.events) {
-    int32_t head, relation, tail;
-    switch (e.kind) {
-      case EventKind::kNewUser:
-      case EventKind::kNewEntity:
-        continue;  // growth-only: the table rows above are their fold
-      case EventKind::kNewInteraction:
-        head = graph_->UserEntity(e.user);
-        relation = graph_->interact_relation;
-        tail = graph_->ItemEntity(e.item);
-        break;
-      case EventKind::kNewFact:
-        // Item-KG coordinates -> unified-graph coordinates: entities
-        // shift past the user block; forward relation k was added right
-        // after "interact" in spec order (MakeUserItemGraph), so it
-        // lands at interact_relation + 1 + k.
-        head = static_cast<int32_t>(graph_->ItemEntity(0) + e.head);
-        relation = graph_->interact_relation + 1 + e.relation;
-        tail = static_cast<int32_t>(graph_->ItemEntity(0) + e.tail);
-        break;
-    }
-    Rng rng =
-        base_rng.Fork(kFoldStream).Fork(static_cast<uint64_t>(e.timestamp));
-    FoldTriple(head, relation, tail, rng);
-  }
-  // Derived state, rebuilt exactly as FinishLoad does.
-  BuildItemFactors();
-  return Status::OK();
-}
-
-void CfkgRecommender::FoldTriple(int32_t head, int32_t relation, int32_t tail,
-                                 Rng& rng) {
-  const size_t num_entities = graph_->kg.num_entities();
-  const float lr = config_.learning_rate;
-  std::vector<nn::Tensor> params = model_->Params();
-  for (int pass = 0; pass < kFoldPasses; ++pass) {
-    int32_t nh = head, nt = tail;
-    if (rng.Bernoulli(0.5)) {
-      nh = static_cast<int32_t>(rng.UniformInt(num_entities));
-    } else {
-      nt = static_cast<int32_t>(rng.UniformInt(num_entities));
-    }
-    for (nn::Tensor& p : params) p.ZeroGrad();
-    nn::Tensor pos = model_->ScoreBatch({head}, {relation}, {tail});
-    nn::Tensor neg = model_->ScoreBatch({nh}, {relation}, {nt});
-    nn::Tensor loss = nn::MarginRankingLoss(neg, pos, config_.margin);
-    nn::Backward(loss);
-    for (nn::Tensor& p : params) {
-      float* d = p.data();
-      const float* g = p.grad();
-      for (size_t i = 0; i < p.size(); ++i) d[i] -= lr * g[i];
-    }
-  }
 }
 
 std::string CfkgRecommender::HyperFingerprint() const {

@@ -37,6 +37,10 @@ struct CfkgConfig {
 /// call, and the score is the backend's retrieval kernel over the two —
 /// which makes CFKG a DotProductFactors exporter whose index scans are
 /// bitwise Score().
+///
+/// CFKG (and ECFKG) have no online Update (DESIGN §13): a per-triple SGD
+/// fold scored below the stale model in the online_updates frontier, so
+/// a growing world keeps serving the fitted generation until a refit.
 class CfkgRecommender : public Recommender, public DotProductFactors {
  public:
   explicit CfkgRecommender(CfkgConfig config = {}) : config_(config) {}
@@ -50,16 +54,6 @@ class CfkgRecommender : public Recommender, public DotProductFactors {
   /// materialized item factors; bitwise equal to Score().
   std::vector<float> ScoreItems(int32_t user,
                                 std::span<const int32_t> items) const override;
-
-  /// Online update (DESIGN §13): every event kind is a KG fact in the
-  /// unified user-item graph, so the fold is uniform — the backend's
-  /// entity tables grow to the post-batch graph (counter-keyed rows),
-  /// each kNewInteraction / kNewFact triple takes a few margin-ranking
-  /// SGD steps against a corrupted negative, and the projected item
-  /// factor matrix is rebuilt once at the end. kNewUser / kNewEntity
-  /// are growth-only.
-  Status Update(const RecContext& context, const EventBatch& batch) override;
-  bool SupportsUpdate() const override { return true; }
 
   std::string HyperFingerprint() const override;
 
@@ -83,12 +77,6 @@ class CfkgRecommender : public Recommender, public DotProductFactors {
   const UserItemGraph* graph_ = nullptr;
 
  private:
-  /// A few plain-SGD margin-ranking steps on one triple (the event's
-  /// counter-keyed rng draws the corruptions). Weight decay is omitted:
-  /// a dense L2 step would perturb every entity row, defeating the
-  /// locality of an online fold.
-  void FoldTriple(int32_t head, int32_t relation, int32_t tail, Rng& rng);
-
   /// Projects every item entity through the fixed "interact" relation.
   void BuildItemFactors();
 

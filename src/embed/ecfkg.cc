@@ -13,15 +13,6 @@ void EcfkgRecommender::Fit(const RecContext& context) {
                                                  /*max_paths_per_template=*/4);
 }
 
-Status EcfkgRecommender::Update(const RecContext& context,
-                                const EventBatch& batch) {
-  KGREC_RETURN_IF_ERROR(CfkgRecommender::Update(context, batch));
-  KGREC_CHECK(context.train != nullptr);
-  finder_ = std::make_unique<TemplatePathFinder>(*graph_, *context.train,
-                                                 /*max_paths_per_template=*/4);
-  return Status::OK();
-}
-
 Status EcfkgRecommender::PrepareLoad(const RecContext& context) {
   KGREC_RETURN_IF_ERROR(CfkgRecommender::PrepareLoad(context));
   KGREC_CHECK(context.train != nullptr);

@@ -23,10 +23,6 @@ class EcfkgRecommender : public CfkgRecommender {
   std::string name() const override { return "ECFKG"; }
   void Fit(const RecContext& context) override;
 
-  /// CFKG's fold, then the path finder is rebuilt over the grown graph
-  /// so Explain() sees the new users, entities and facts.
-  Status Update(const RecContext& context, const EventBatch& batch) override;
-
   /// The most KGE-plausible path from the user to the item, rendered as
   /// text, with its average edge plausibility; "" when no path exists.
   std::string Explain(int32_t user, int32_t item) const;

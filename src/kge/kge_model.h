@@ -67,16 +67,6 @@ class KgeModel {
   virtual void FillTailFactor(int32_t tail, int32_t relation,
                               float* out) const = 0;
 
-  /// Widens the entity table(s) to `new_total` rows for the online
-  /// update path (DESIGN §13); no-op when already that tall. Existing
-  /// rows are preserved bitwise. Every new row e draws from the
-  /// counter-keyed stream base_rng.Fork(e) (per-table sub-forks for
-  /// backends with several entity tables), so initialization depends
-  /// only on the entity id — growing in two batches is bitwise
-  /// identical to growing once by their union. Relation-side tables
-  /// never grow.
-  virtual void GrowEntities(size_t new_total, const Rng& base_rng) = 0;
-
   size_t dim() const { return dim_; }
 
  protected:
@@ -84,15 +74,6 @@ class KgeModel {
 
   /// Normalizes every row of the tensor to (at most) unit L2 norm.
   static void NormalizeRows(nn::Tensor& table);
-
-  /// Shared GrowEntities workhorse: replaces `table` with a
-  /// [new_rows, cols] tensor, old rows copied bitwise, each new row r
-  /// filled Uniform(-a, a) from base_rng.Fork(salt).Fork(r). The bound
-  /// a = sqrt(6 / (2 * cols)) deliberately ignores the table's current
-  /// height — a height-dependent Xavier bound would make a row's values
-  /// depend on *when* the entity arrived.
-  static void GrowTable(nn::Tensor& table, size_t new_rows,
-                        const Rng& base_rng, uint64_t salt);
 
   size_t dim_;
 };

@@ -8,26 +8,6 @@
 
 namespace kgrec {
 
-void KgeModel::GrowTable(nn::Tensor& table, size_t new_rows,
-                         const Rng& base_rng, uint64_t salt) {
-  const size_t old_rows = table.rows();
-  KGREC_CHECK_GE(new_rows, old_rows);
-  if (new_rows == old_rows) return;
-  const size_t cols = table.cols();
-  const float a = std::sqrt(6.0f / static_cast<float>(cols + cols));
-  std::vector<float> data(new_rows * cols);
-  std::copy_n(table.data(), old_rows * cols, data.begin());
-  const Rng table_rng = base_rng.Fork(salt);
-  for (size_t r = old_rows; r < new_rows; ++r) {
-    Rng row_rng = table_rng.Fork(r);
-    for (size_t c = 0; c < cols; ++c) {
-      data[r * cols + c] = static_cast<float>(row_rng.Uniform(-a, a));
-    }
-  }
-  table = nn::Tensor::FromData(new_rows, cols, std::move(data),
-                               /*requires_grad=*/true);
-}
-
 void KgeModel::NormalizeRows(nn::Tensor& table) {
   const size_t rows = table.rows();
   const size_t cols = table.cols();
@@ -85,9 +65,6 @@ class TransE : public KgeModel {
                       float* out) const override {
     const float* t = entities_.data() + tail * dim_;
     for (size_t c = 0; c < dim_; ++c) out[c] = t[c];
-  }
-  void GrowEntities(size_t new_total, const Rng& base_rng) override {
-    GrowTable(entities_, new_total, base_rng, 0);
   }
 
  private:
@@ -150,9 +127,6 @@ class TransH : public KgeModel {
     const float wt = kernels::Dot(w, t, dim_);
     for (size_t c = 0; c < dim_; ++c) out[c] = t[c] - w[c] * wt;
   }
-  void GrowEntities(size_t new_total, const Rng& base_rng) override {
-    GrowTable(entities_, new_total, base_rng, 0);  // normals_ is per-relation
-  }
 
  private:
   nn::Tensor entities_;
@@ -212,9 +186,6 @@ class TransR : public KgeModel {
   void FillTailFactor(int32_t tail, int32_t relation,
                       float* out) const override {
     Project(entities_.data() + tail * dim_, relation, out);
-  }
-  void GrowEntities(size_t new_total, const Rng& base_rng) override {
-    GrowTable(entities_, new_total, base_rng, 0);  // projections_ is per-relation
   }
 
  private:
@@ -291,12 +262,6 @@ class TransD : public KgeModel {
     const float tpt = kernels::Dot(tp, t, dim_);
     for (size_t c = 0; c < dim_; ++c) out[c] = t[c] + rp[c] * tpt;
   }
-  void GrowEntities(size_t new_total, const Rng& base_rng) override {
-    // Two per-entity tables -> two per-table streams, keyed so a row's
-    // init never depends on which batch grew it.
-    GrowTable(entities_, new_total, base_rng, 0);
-    GrowTable(entity_proj_, new_total, base_rng, 1);
-  }
 
  private:
   nn::Tensor entities_;
@@ -346,9 +311,6 @@ class DistMult : public KgeModel {
                       float* out) const override {
     const float* t = entities_.data() + tail * dim_;
     for (size_t c = 0; c < dim_; ++c) out[c] = t[c];
-  }
-  void GrowEntities(size_t new_total, const Rng& base_rng) override {
-    GrowTable(entities_, new_total, base_rng, 0);
   }
 
  private:

@@ -27,14 +27,8 @@ Status TwoStageRetriever::Create(
         "two-stage: candidate model '" + candidate_model->name() +
         "' exported an empty item matrix (not fitted?)");
   }
-  std::unique_ptr<const ItemIndex> index;
-  if (config.use_ivf) {
-    index = std::make_unique<IvfIndex>(std::move(exported), config.ivf,
-                                       config.scan);
-  } else {
-    index = std::make_unique<BruteForceIndex>(std::move(exported),
-                                              config.scan);
-  }
+  auto index = std::make_unique<const BruteForceIndex>(std::move(exported),
+                                                       config.scan);
   out->reset(new TwoStageRetriever(std::move(candidate_model), factors,
                                    std::move(index), config));
   return Status::OK();

@@ -20,12 +20,9 @@ struct TwoStageConfig {
   /// larger multiplier trades re-rank cost for recall.
   size_t candidates_per_k = 8;
   size_t min_candidates = 128;
-  /// Candidate index kind: exact blocked scan (default — stage 1 is then
-  /// the candidate model's true top-C) or IVF (sublinear stage 1).
-  bool use_ivf = false;
-  IvfConfig ivf;
-  /// Scan representation of the stage-1 index (float32 or SQ8 with
-  /// float re-rank — see retrieval/index.h ScanSpec).
+  /// Scan representation of the stage-1 index, an exact blocked scan
+  /// whose top-C is the candidate model's true top-C (float32, or SQ8
+  /// with float re-rank — see retrieval/index.h ScanSpec).
   ScanSpec scan;
 };
 

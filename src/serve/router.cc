@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <exception>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -16,6 +18,27 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// Dispatch-time range check against the handle that serves the
+// request. It cannot run at admission: SwapFromUpdate grows the user
+// count between generations. Recommend passes no items, since its
+// exclusion list tolerates out-of-range ids.
+Status CheckRequest(const ServeHandle& handle, int32_t user,
+                    std::span<const int32_t> items) {
+  if (user < 0 || user >= handle.num_users()) {
+    return Status::InvalidArgument(
+        "user " + std::to_string(user) + " outside [0, " +
+        std::to_string(handle.num_users()) + ")");
+  }
+  for (const int32_t item : items) {
+    if (item < 0 || item >= handle.num_items()) {
+      return Status::InvalidArgument(
+          "item " + std::to_string(item) + " outside [0, " +
+          std::to_string(handle.num_items()) + ")");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -207,12 +230,19 @@ void Router::DrainLoop() {
 
 void Router::ServeGroup(const std::shared_ptr<const ServeHandle>& handle,
                         std::vector<Pending> group) {
+  // Out-of-range requests are answered alone; the rest of the group is
+  // merged and served as if they had never arrived.
   std::vector<int32_t> merged;
   size_t total = 0;
-  for (const Pending& p : group) total += p.items.size();
+  for (Pending& p : group) {
+    p.check = CheckRequest(*handle, p.user, p.items);
+    if (p.check.ok()) total += p.items.size();
+  }
   merged.reserve(total);
   for (const Pending& p : group) {
-    merged.insert(merged.end(), p.items.begin(), p.items.end());
+    if (p.check.ok()) {
+      merged.insert(merged.end(), p.items.begin(), p.items.end());
+    }
   }
 
   // One batched ScoreItems call per user group: the contract
@@ -221,7 +251,9 @@ void Router::ServeGroup(const std::shared_ptr<const ServeHandle>& handle,
   Status status = Status::OK();
   std::vector<float> scores;
   try {
-    scores = handle->ScoreItems(group.front().user, merged);
+    if (!merged.empty()) {
+      scores = handle->ScoreItems(group.front().user, merged);
+    }
   } catch (const std::exception& e) {
     status = Status::Internal(std::string("serve failure: ") + e.what());
   } catch (...) {
@@ -248,10 +280,15 @@ void Router::ServeGroup(const std::shared_ptr<const ServeHandle>& handle,
   size_t offset = 0;
   for (Pending& p : group) {
     ScoreResponse response;
-    response.status = status;
     response.generation = handle->generation();
     response.submitted_ns = p.submitted_ns;
     response.completed_ns = completed_ns;
+    if (!p.check.ok()) {
+      response.status = std::move(p.check);
+      p.promise.set_value(std::move(response));
+      continue;
+    }
+    response.status = status;
     if (status.ok()) {
       response.scores.assign(scores.begin() + offset,
                              scores.begin() + offset + p.items.size());
@@ -265,10 +302,12 @@ void Router::ServeGroup(const std::shared_ptr<const ServeHandle>& handle,
 
 void Router::ServeRecommend(const std::shared_ptr<const ServeHandle>& handle,
                             Pending pending) {
-  Status status = Status::OK();
+  Status status = CheckRequest(*handle, pending.user, {});
   std::vector<std::pair<int32_t, float>> items;
   try {
-    items = handle->Recommend(pending.user, pending.k, pending.items);
+    if (status.ok()) {
+      items = handle->Recommend(pending.user, pending.k, pending.items);
+    }
   } catch (const std::exception& e) {
     status = Status::Internal(std::string("serve failure: ") + e.what());
   } catch (...) {

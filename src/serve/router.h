@@ -133,7 +133,10 @@ class Router {
   /// Admits a request (or rejects it with an immediately-ready
   /// Unavailable response when the queue is full or the router is
   /// stopping). Every returned future is eventually fulfilled exactly
-  /// once — responses are never lost or duplicated.
+  /// once — responses are never lost or duplicated. A request whose user
+  /// or any item lies outside the tables of the handle that serves it
+  /// (ServeHandle::num_users / num_items) is answered InvalidArgument;
+  /// the other requests of its user group are served unchanged.
   std::future<ScoreResponse> Submit(ScoreRequest request);
 
   /// Convenience: Submit + wait.
@@ -142,7 +145,8 @@ class Router {
   /// Admits a top-k request through the same bounded queue, drain leases
   /// and generation stamping as Submit(). Recommend requests ride the
   /// drain but are never coalesced — each carries its own k and
-  /// exclusion list, so each dispatches as its own pool task.
+  /// exclusion list, so each dispatches as its own pool task. A user
+  /// outside the serving handle's user table is answered InvalidArgument.
   std::future<RecommendResponse> SubmitRecommend(RecommendRequest request);
 
   /// Convenience: SubmitRecommend + wait.
@@ -203,6 +207,8 @@ class Router {
     std::promise<ScoreResponse> promise;          // kScore
     std::promise<RecommendResponse> rec_promise;  // kRecommend
     uint64_t submitted_ns = 0;
+    /// kScore: the dispatch-time range check against the serving handle.
+    Status check;
   };
 
   /// Swap body, assuming swap_mutex_ is already held by the caller.

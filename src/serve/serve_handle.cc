@@ -11,6 +11,7 @@ ServeHandle::ServeHandle(std::unique_ptr<const Recommender> model,
                          const RecContext& context, uint64_t generation)
     : model_(std::move(model)),
       model_name_(model_->name()),
+      num_users_(context.train != nullptr ? context.train->num_users() : 0),
       num_items_(context.train != nullptr ? context.train->num_items() : 0),
       generation_(generation) {}
 
@@ -33,12 +34,8 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
             "RetrievalSpec::kExact: model '" + model_name_ +
             "' does not export DotProductFactors");
       }
-      auto index = std::make_unique<retrieval::BruteForceIndex>(
+      index_ = std::make_unique<retrieval::BruteForceIndex>(
           factors_->ExportItemFactors(), spec.scan);
-      if (num_items_ > 0) {
-        KGREC_CHECK_EQ(index->num_items(), static_cast<size_t>(num_items_));
-      }
-      index_ = std::move(index);
       retrieval_mode_ = sq8 ? "exact-index+sq8" : "exact-index";
       return Status::OK();
     }
@@ -48,12 +45,8 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
             "RetrievalSpec::kIvf: model '" + model_name_ +
             "' does not export DotProductFactors");
       }
-      auto index = std::make_unique<retrieval::IvfIndex>(
+      index_ = std::make_unique<retrieval::IvfIndex>(
           factors_->ExportItemFactors(), spec.ivf, spec.scan);
-      if (num_items_ > 0) {
-        KGREC_CHECK_EQ(index->num_items(), static_cast<size_t>(num_items_));
-      }
-      index_ = std::move(index);
       retrieval_mode_ = sq8 ? "ivf-index+sq8" : "ivf-index";
       return Status::OK();
     }
@@ -80,7 +73,8 @@ std::shared_ptr<const ServeHandle> ServeHandle::Adopt(
     std::unique_ptr<const Recommender> model, const RecContext& context,
     uint64_t generation) {
   std::shared_ptr<const ServeHandle> handle;
-  // kAuto cannot fail: it only indexes models that export factors.
+  // kAuto only indexes models that export factors, so it fails only on a
+  // model fit on another catalog than the context's.
   const Status status = Adopt(std::move(model), context, generation,
                               RetrievalSpec{}, &handle);
   KGREC_CHECK(status.ok());
@@ -97,6 +91,15 @@ Status ServeHandle::Adopt(std::unique_ptr<const Recommender> model,
   std::shared_ptr<ServeHandle> handle(
       new ServeHandle(std::move(model), context, generation));
   KGREC_RETURN_IF_ERROR(handle->BuildRetrieval(spec));
+  // Every served id comes from the index, so an index over another
+  // catalog would hand the model ids past its tables.
+  const retrieval::ItemIndex* index = handle->index();
+  if (index != nullptr &&
+      index->num_items() != static_cast<size_t>(handle->num_items_)) {
+    return Status::FailedPrecondition(
+        "RetrievalSpec: the index holds " + std::to_string(index->num_items()) +
+        " items, the served catalog " + std::to_string(handle->num_items_));
+  }
   *out = std::move(handle);
   return Status::OK();
 }

@@ -70,7 +70,8 @@ struct RetrievalSpec {
 class ServeHandle {
  public:
   /// Wraps a fitted model under the default kAuto retrieval spec, which
-  /// cannot fail. The model comes from Fit() in-process, from a
+  /// fails (a CHECK) only for a model fit on another catalog than the
+  /// context's. The model comes from Fit() in-process, from a
   /// checkpoint via LoadModel() (core/registry.h), or — for models
   /// trained under non-registry hyper-parameters, whose checkpoints
   /// LoadModel() refuses — from Load() into a caller-constructed
@@ -85,7 +86,8 @@ class ServeHandle {
 
   /// Adopt with an explicit retrieval spec. Unlike the kAuto overload
   /// above this can fail (kExact/kIvf on a non-factorizable model,
-  /// kTwoStage with a non-factorizable candidate), so it returns Status.
+  /// kTwoStage with a non-factorizable candidate, or an index whose
+  /// catalog size differs from the context's), so it returns Status.
   static Status Adopt(std::unique_ptr<const Recommender> model,
                       const RecContext& context, uint64_t generation,
                       const RetrievalSpec& spec,
@@ -93,6 +95,11 @@ class ServeHandle {
 
   const std::string& model_name() const { return model_name_; }
   uint64_t generation() const { return generation_; }
+  /// context.train's user and item counts at Adopt. The model's tables
+  /// cover exactly these ranges: Score, ScoreItems and Recommend read
+  /// out of bounds for any other id, so the Router rejects such requests
+  /// with InvalidArgument.
+  int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }
 
   /// f(u, v) — forwards to the model's const Score().
@@ -142,6 +149,7 @@ class ServeHandle {
 
   std::unique_ptr<const Recommender> model_;
   std::string model_name_;
+  int32_t num_users_ = 0;
   int32_t num_items_ = 0;
   uint64_t generation_ = 0;
 

@@ -5,21 +5,11 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "data/event_stream.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
 
 namespace kgrec {
-
-namespace {
-
-// Update-path RNG streams (counter-keyed forks of Rng(context.seed)).
-constexpr uint64_t kGrowUserStream = 101;
-constexpr uint64_t kGrowEntityStream = 102;
-constexpr uint64_t kSampleStream = 103;
-
-}  // namespace
 
 nn::Tensor KgcnRecommender::Forward(const std::vector<int32_t>& users,
                                     const std::vector<int32_t>& items,
@@ -147,65 +137,6 @@ void KgcnRecommender::BuildModel(const RecContext& context, Rng& rng) {
     std::copy(sampled.begin(), sampled.end(),
               sampled_edges_.begin() + e * config_.num_neighbors);
   }
-}
-
-Status KgcnRecommender::Update(const RecContext& context,
-                               const EventBatch& batch) {
-  KGREC_CHECK(context.train != nullptr);
-  KGREC_CHECK(context.item_kg != nullptr);
-  if (!user_emb_.defined() || entity_isolated_.empty()) {
-    return Status::FailedPrecondition(
-        "KGCN Update() requires a fitted (or loaded) model");
-  }
-  const InteractionDataset& train = *context.train;
-  const KnowledgeGraph& kg = *context.item_kg;
-  const size_t k = config_.num_neighbors;
-  const Rng base_rng(context.seed);
-
-  if (static_cast<size_t>(train.num_users()) > user_emb_.rows()) {
-    user_emb_ = nn::GrowRowsNormal(user_emb_, train.num_users(),
-                                   base_rng.Fork(kGrowUserStream), 0.1f);
-  }
-  // Entities needing a fresh receptive-field row: every new entity,
-  // plus both endpoints of every new fact (their adjacency changed).
-  std::vector<int32_t> resample;
-  const size_t old_entities = entity_isolated_.size();
-  if (kg.num_entities() > old_entities) {
-    entity_emb_ = nn::GrowRowsNormal(entity_emb_, kg.num_entities(),
-                                     base_rng.Fork(kGrowEntityStream), 0.1f);
-    sampled_edges_.resize(kg.num_entities() * k, Edge{0, 0});
-    entity_isolated_.resize(kg.num_entities(), 1);
-    for (size_t e = old_entities; e < kg.num_entities(); ++e) {
-      resample.push_back(static_cast<int32_t>(e));
-    }
-  }
-  for (const Event& e : batch.events) {
-    if (e.kind != EventKind::kNewFact) continue;
-    resample.push_back(e.head);
-    resample.push_back(e.tail);
-  }
-  std::sort(resample.begin(), resample.end());
-  resample.erase(std::unique(resample.begin(), resample.end()),
-                 resample.end());
-  const Rng sample_rng = base_rng.Fork(kSampleStream);
-  std::vector<Edge> sampled;  // reused across entities
-  for (int32_t e : resample) {
-    Rng entity_rng = sample_rng.Fork(e);
-    kg.SampleNeighbors(e, k, entity_rng, &sampled);
-    if (sampled.empty()) {
-      entity_isolated_[e] = 1;
-      continue;
-    }
-    KGREC_CHECK_EQ(sampled.size(), k);
-    entity_isolated_[e] = 0;
-    std::copy(sampled.begin(), sampled.end(),
-              sampled_edges_.begin() + static_cast<size_t>(e) * k);
-  }
-  // The post-batch world is the new serving context (KGCN-LS reads the
-  // train set through train_).
-  train_ = &train;
-  num_items_ = train.num_items();
-  return Status::OK();
 }
 
 std::string KgcnRecommender::HyperFingerprint() const {

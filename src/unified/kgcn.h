@@ -31,6 +31,10 @@ struct KgcnConfig {
 /// the item KG and aggregating neighbor embeddings inward, with
 /// user-relation attention pi(u, r) = u . r deciding how much each edge
 /// matters to this user. All four aggregators of Eq. 30-33 are supported.
+///
+/// KGCN and KGCN-LS have no online Update (DESIGN §13): refreshing the
+/// receptive field of the entities a batch touched, with no SGD, scored
+/// below the stale model in the online_updates frontier.
 class KgcnRecommender : public Recommender {
  public:
   explicit KgcnRecommender(KgcnConfig config = {}) : config_(config) {}
@@ -50,17 +54,6 @@ class KgcnRecommender : public Recommender {
   /// so results are bitwise equal to per-item Score() calls.
   std::vector<float> ScoreItems(int32_t user,
                                 std::span<const int32_t> items) const override;
-
-  /// Online update (DESIGN §13): a structural refresh, no SGD. The
-  /// user/entity tables grow for kNewUser / kNewEntity events
-  /// (counter-keyed rows), and the static receptive field is resampled
-  /// only for entities whose adjacency the batch changed — new entities
-  /// plus both endpoints of every kNewFact — each from its own
-  /// Fork(entity)-keyed stream over the updated KG. The model then
-  /// serves against the post-batch world (train_, num_items_). Covers
-  /// KGCN-LS: the label-smoothness term reads the updated train set.
-  Status Update(const RecContext& context, const EventBatch& batch) override;
-  bool SupportsUpdate() const override { return true; }
 
   std::string HyperFingerprint() const override;
 

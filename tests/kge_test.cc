@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/knowledge_graph.h"
 #include "kge/kge_model.h"
 #include "kge/kge_trainer.h"
+#include "retrieval/factors.h"
 
 namespace kgrec {
 namespace {
@@ -86,6 +89,39 @@ TEST_P(KgeBackendTest, LinkPredictionBeatsRandom) {
   EXPECT_GT(metrics.mrr, 0.45) << GetParam();
   EXPECT_GE(metrics.hits_at_10, metrics.hits_at_3);
   EXPECT_GE(metrics.hits_at_3, metrics.hits_at_1);
+}
+
+TEST_P(KgeBackendTest, FixedRelationFactorizationMatchesTripleScore) {
+  // The retrieval export (FillHeadQuery / FillTailFactor under a pinned
+  // relation) must agree with the backend's own ScoreBatch on every
+  // triple of a trained model. The two are separate float sequences, so
+  // they agree to rounding, not bitwise.
+  KnowledgeGraph kg = PatternGraph();
+  Rng rng(7);
+  const size_t dim = 16;
+  auto model = MakeKgeModel(GetParam(), kg.num_entities(), kg.num_relations(),
+                            dim, rng);
+  KgeTrainConfig config;
+  config.epochs = 30;
+  config.batch_size = 8;
+  TrainKge(*model, kg, config);
+  std::vector<float> query(dim), tail_factor(dim);
+  const auto num_entities = static_cast<int32_t>(kg.num_entities());
+  const auto num_relations = static_cast<int32_t>(kg.num_relations());
+  for (int32_t r = 0; r < num_relations; ++r) {
+    for (int32_t h = 0; h < num_entities; ++h) {
+      model->FillHeadQuery(h, r, query.data());
+      for (int32_t t = 0; t < num_entities; ++t) {
+        model->FillTailFactor(t, r, tail_factor.data());
+        const float factored = retrieval::KernelScore(
+            model->retrieval_kernel(), query.data(), tail_factor.data(), dim);
+        const float direct = model->ScoreBatch({h}, {r}, {t}).value();
+        ASSERT_NEAR(factored, direct,
+                    1e-5f * std::max(1.0f, std::fabs(direct)))
+            << GetParam() << " (" << h << ", " << r << ", " << t << ")";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KgeBackendTest,

@@ -320,10 +320,11 @@ TEST(RetrievalExport, EveryFactorizableModelScansBitwise) {
 }
 
 TEST(RetrievalExport, EveryKgeBackendFactorizes) {
-  // CFKG over each of the five KGE backends: the fixed-relation
-  // factorization (FillHeadQuery / FillTailFactor) must reproduce the
-  // backend's triple score bitwise, translation-distance and bilinear
-  // alike.
+  // CFKG over each of the five KGE backends, translation-distance and
+  // bilinear alike: CFKG's Score() is defined through the fixed-relation
+  // factorization, so the export must reproduce it bitwise. Agreement
+  // with the backend's own triple score (ScoreBatch) is to rounding only
+  // and is checked in kge_test.
   for (const char* backend :
        {"transe", "transh", "transr", "transd", "distmult"}) {
     CfkgConfig config;
@@ -677,6 +678,44 @@ TEST(RetrievalServe, TwoStageHandleServesRankerScores) {
     ExpectSameRanking(BruteReference(scores, 10), handle->Recommend(user, 10),
                       "two-stage user " + std::to_string(user));
   }
+}
+
+TEST(RetrievalServe, IndexOverAnotherCatalogIsRefused) {
+  // An index over 48 items would hand a 40-item model ids past its
+  // tables, so Adopt must refuse it: as a two-stage candidate and as the
+  // served model's own exact index.
+  const RetrievalWorld& world = SharedWorld();
+  WorldConfig config;
+  config.num_users = 30;
+  config.num_items = 48;
+  config.avg_interactions_per_user = 8.0;
+  config.seed = 516;
+  const SyntheticWorld wider = GenerateWorld(config);
+  RecContext wider_ctx;
+  wider_ctx.train = &wider.interactions;
+  wider_ctx.seed = 29;
+  auto candidate = std::make_shared<MfRecommender>();
+  candidate->Fit(wider_ctx);
+
+  RetrievalSpec spec;
+  spec.mode = RetrievalSpec::Mode::kTwoStage;
+  spec.candidate_model = candidate;
+  std::shared_ptr<const ServeHandle> handle;
+  const Status status = ServeHandle::Adopt(
+      std::make_unique<QuirkyRanker>(), world.Context(), 1, spec, &handle);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_EQ(handle, nullptr);
+
+  auto served = std::make_unique<MfRecommender>();
+  served->Fit(wider_ctx);
+  RetrievalSpec exact;
+  exact.mode = RetrievalSpec::Mode::kExact;
+  EXPECT_EQ(ServeHandle::Adopt(std::move(served), world.Context(), 1, exact,
+                               &handle)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(handle, nullptr);
 }
 
 // ---------------------------------------------------------------------

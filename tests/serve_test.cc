@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <latch>
 #include <memory>
@@ -454,6 +456,87 @@ TEST(ServeRouter, SplitsCoalescedResponsesCorrectly) {
           << "request " << r << " slot " << i;
     }
   }
+}
+
+TEST(ServeRouter, RejectsIdsOutsideTheServedTables) {
+  std::unique_ptr<Recommender> fitted;
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("MF", 1, &fitted);
+  const int32_t num_users = handle->num_users();
+  const int32_t num_items = handle->num_items();
+  ASSERT_EQ(num_users, SharedWorld().split.train.num_users());
+  RouterConfig config;
+  config.num_threads = 2;
+  Router router(config, handle);
+
+  for (const ScoreRequest& bad :
+       {ScoreRequest{num_users, {0, 1}}, ScoreRequest{-1, {0, 1}},
+        ScoreRequest{3, {0, num_items}}, ScoreRequest{3, {-1}}}) {
+    const ScoreResponse response = router.ScoreSync(bad);
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+        << "user " << bad.user;
+    EXPECT_TRUE(response.scores.empty());
+    EXPECT_EQ(response.generation, 1u);
+  }
+  for (const int32_t user : {num_users, -1}) {
+    const serve::RecommendResponse response =
+        router.RecommendSync({user, 5, {}});
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+        << "user " << user;
+    EXPECT_TRUE(response.items.empty());
+  }
+  // Exclusion lists keep tolerating out-of-range ids: they select, never
+  // index.
+  const serve::RecommendResponse tolerated =
+      router.RecommendSync({3, 5, {num_items, -1}});
+  ASSERT_TRUE(tolerated.status.ok()) << tolerated.status.ToString();
+  EXPECT_EQ(tolerated.items, handle->Recommend(3, 5));
+  EXPECT_EQ(router.Stats().responses, 7u);
+}
+
+TEST(ServeRouter, OutOfRangeRequestLeavesItsUserGroupBitwise) {
+  // One invalid request coalesced with two valid ones for the same user:
+  // it alone is refused, and the others are scored bitwise as if it had
+  // never arrived. The post-steal hook parks the single worker on the
+  // first drain so the next three requests are stolen as one group.
+  std::unique_ptr<Recommender> fitted;
+  std::shared_ptr<const ServeHandle> handle = FitSaveLoad("MF", 1, &fitted);
+  std::latch entered(1);
+  std::latch release(1);
+  std::atomic<bool> parked{false};
+  RouterConfig config;
+  config.num_threads = 1;
+  Router router(config, handle);
+  router.SetPostStealHookForTest([&] {
+    if (parked.exchange(true)) return;
+    entered.count_down();
+    release.wait();
+  });
+
+  std::future<ScoreResponse> first = router.Submit({2, {0}});
+  entered.wait();
+  const std::vector<std::vector<int32_t>> lists{
+      {10, 11}, {12, handle->num_items()}, {13, 14, 15}};
+  std::vector<std::future<ScoreResponse>> futures;
+  for (const auto& list : lists) futures.push_back(router.Submit({7, list}));
+  release.count_down();
+
+  EXPECT_TRUE(first.get().status.ok());
+  for (size_t r = 0; r < lists.size(); ++r) {
+    const ScoreResponse response = futures[r].get();
+    if (r == 1) {
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(response.scores.empty());
+      continue;
+    }
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    const std::vector<float> direct = fitted->ScoreItems(7, lists[r]);
+    ASSERT_EQ(response.scores.size(), direct.size());
+    EXPECT_EQ(std::memcmp(response.scores.data(), direct.data(),
+                          direct.size() * sizeof(float)),
+              0)
+        << "request " << r;
+  }
+  EXPECT_EQ(router.Stats().coalesced, 2u);
 }
 
 TEST(ServeRouter, DestructorDeliversEveryAdmittedRequest) {
