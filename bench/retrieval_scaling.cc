@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,49 +72,34 @@ ScanSpec Sq8Spec() {
   return spec;  // default rerank_factor / rerank_slack — what serving uses
 }
 
-/// Integer scan scores of every item in `quantized` for `query`, via
-/// either the dispatched kernels (simd == true) or the scalar reference.
-/// Bitwise equality of the two is the cross-build guarantee: integer
-/// accumulation has no fold-order sensitivity, so scalar, SSE2 and AVX2
-/// builds must produce identical candidate pools. kDot combines the
-/// hi/lo weight passes in int64 exactly like the index scan does.
+/// Integer scan scores of every item in `quantized` for `query` (indexed
+/// by item id), block by block through either the dispatched block kernel
+/// (simd == true) or the scalar reference — the kernels the serve-path
+/// scan (QuantizedItemFactors::ScanBlock) calls. Bitwise equality of the
+/// two is the cross-build guarantee: integer accumulation has no
+/// fold-order sensitivity, so scalar, SSE2 and AVX2 builds must produce
+/// identical candidate pools.
 void IntegerScanScores(const QuantizedItemFactors& quantized,
                        const Sq8Query& q8, bool simd,
-                       std::vector<int64_t>* out) {
-  const size_t n = quantized.num_items();
-  std::vector<const uint8_t*> rows(n);
-  for (size_t i = 0; i < n; ++i) rows[i] = quantized.Codes(i);
-  out->resize(n);
-  std::vector<int32_t> pass(n);
-  if (quantized.kernel() == ScoreKernel::kDot) {
-    // Same fused dual-accumulator kernel the serve-path scan uses
-    // (retrieval::FlushSq8), so the bitwise gate covers it directly.
-    std::vector<int32_t> pass_lo(n);
-    if (simd) {
-      kgrec::kernels::DotDualBatchI8(q8.weights.data(), q8.weights_lo.data(),
-                                     rows.data(), n, quantized.dim(),
-                                     pass.data(), pass_lo.data());
-    } else {
-      kgrec::kernels::ref::DotDualBatchI8(q8.weights.data(),
-                                          q8.weights_lo.data(), rows.data(), n,
-                                          quantized.dim(), pass.data(),
-                                          pass_lo.data());
+                       std::vector<int32_t>* out) {
+  namespace kernels = kgrec::kernels;
+  const bool dot = quantized.kernel() == ScoreKernel::kDot;
+  const int16_t* operand = dot ? q8.weights.data() : q8.codes.data();
+  const auto kernel = dot ? (simd ? kernels::DotBlockI8
+                                  : kernels::ref::DotBlockI8)
+                          : (simd ? kernels::NegSquaredDistanceBlockI8
+                                  : kernels::ref::NegSquaredDistanceBlockI8);
+  out->assign(quantized.num_items(), 0);
+  int32_t scores[QuantizedItemFactors::kBlockRows];
+  for (size_t b = 0; b < quantized.cell_begin(quantized.num_cells()); ++b) {
+    kernel(operand, quantized.block_codes(b), quantized.dim_pairs(),
+           std::numeric_limits<int32_t>::min(), scores);
+    for (size_t r = 0; r < QuantizedItemFactors::kBlockRows; ++r) {
+      if ((quantized.live_rows(b) >> r) & 1u) {
+        (*out)[quantized.ItemAt(b, r)] = scores[r];
+      }
     }
-    for (size_t i = 0; i < n; ++i) {
-      (*out)[i] =
-          128 * static_cast<int64_t>(pass[i]) + static_cast<int64_t>(pass_lo[i]);
-    }
-    return;
   }
-  if (simd) {
-    kgrec::kernels::SquaredDistanceBatchI8(q8.codes.data(), rows.data(), n,
-                                           quantized.dim(), pass.data());
-  } else {
-    kgrec::kernels::ref::SquaredDistanceBatchI8(q8.codes.data(), rows.data(),
-                                                n, quantized.dim(),
-                                                pass.data());
-  }
-  for (size_t i = 0; i < n; ++i) (*out)[i] = pass[i];
 }
 
 bool SameRanking(const std::vector<std::pair<int32_t, float>>& a,
@@ -213,8 +199,8 @@ void RunModelGate(const kgrec::bench::Workbench& bench,
     const int32_t probe_users = std::min<int32_t>(num_users, 32);
     std::vector<float> query(factors->factor_dim());
     Sq8Query q8;
-    std::vector<int64_t> dispatched_scores;
-    std::vector<int64_t> ref_scores;
+    std::vector<int32_t> dispatched_scores;
+    std::vector<int32_t> ref_scores;
     const auto start = Clock::now();
     for (int32_t user = 0; user < probe_users; ++user) {
       const std::vector<float> scores = model->ScoreAll(user, num_items);
@@ -344,7 +330,7 @@ double RunSweep(const std::vector<size_t>& catalog_sizes,
       bool sq8_bitwise = true;
       double pre_recall = 0.0;
       Sq8Query q8;
-      std::vector<int64_t> iscores;
+      std::vector<int32_t> iscores;
       kgrec::BoundedTopK pool(pool_size);
       for (size_t q = 0; q < exact_results.size(); ++q) {
         sq8_bitwise = sq8_bitwise &&

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 namespace kgrec {
 namespace {
@@ -15,7 +16,7 @@ std::vector<float> IntsToBits(const std::vector<int32_t>& v) {
   return bits;
 }
 
-std::vector<int32_t> BitsToInts(const std::vector<float>& bits) {
+std::vector<int32_t> BitsToInts(std::span<const float> bits) {
   std::vector<int32_t> v(bits.size());
   if (!bits.empty()) {
     std::memcpy(v.data(), bits.data(), bits.size() * sizeof(float));
@@ -170,7 +171,7 @@ StateUnpacker::StateUnpacker(std::vector<NamedTensor> tensors)
   }
 }
 
-Status StateUnpacker::Find(const std::string& name, const NamedTensor** out) {
+Status StateUnpacker::Find(const std::string& name, NamedTensor** out) {
   auto it = index_.find(name);
   if (it == index_.end()) {
     return Status::FailedPrecondition("checkpoint is missing entry '" + name +
@@ -182,8 +183,12 @@ Status StateUnpacker::Find(const std::string& name, const NamedTensor** out) {
 }
 
 Status StateUnpacker::Tensor(const std::string& name, nn::Tensor* t) {
-  const NamedTensor* entry = nullptr;
+  NamedTensor* entry = nullptr;
   KGREC_RETURN_IF_ERROR(Find(name, &entry));
+  if (entry->data.size() != entry->rows * entry->cols) {
+    return Status::FailedPrecondition("checkpoint entry '" + name +
+                                      "' read twice");
+  }
   if (t->defined()) {
     if (t->rows() != entry->rows || t->cols() != entry->cols) {
       return Status::FailedPrecondition(
@@ -194,14 +199,16 @@ Status StateUnpacker::Tensor(const std::string& name, nn::Tensor* t) {
     }
     std::copy(entry->data.begin(), entry->data.end(), t->data());
   } else {
-    *t = nn::Tensor::FromData(entry->rows, entry->cols, entry->data,
-                              /*requires_grad=*/true);
+    // The tensor adopts the entry's aligned buffer: no copy of the table.
+    *t = nn::Tensor::FromAligned(entry->rows, entry->cols,
+                                 std::move(entry->data),
+                                 /*requires_grad=*/true);
   }
   return Status::OK();
 }
 
 Status StateUnpacker::Matrix(const std::string& name, kgrec::Matrix* m) {
-  const NamedTensor* entry = nullptr;
+  NamedTensor* entry = nullptr;
   KGREC_RETURN_IF_ERROR(Find(name, &entry));
   kgrec::Matrix restored(entry->rows, entry->cols);
   std::copy(entry->data.begin(), entry->data.end(), restored.data());
@@ -210,21 +217,21 @@ Status StateUnpacker::Matrix(const std::string& name, kgrec::Matrix* m) {
 }
 
 Status StateUnpacker::Floats(const std::string& name, std::vector<float>* v) {
-  const NamedTensor* entry = nullptr;
+  NamedTensor* entry = nullptr;
   KGREC_RETURN_IF_ERROR(Find(name, &entry));
-  *v = entry->data;
+  v->assign(entry->data.begin(), entry->data.end());
   return Status::OK();
 }
 
 Status StateUnpacker::Ints(const std::string& name, std::vector<int32_t>* v) {
-  const NamedTensor* entry = nullptr;
+  NamedTensor* entry = nullptr;
   KGREC_RETURN_IF_ERROR(Find(name, &entry));
   *v = BitsToInts(entry->data);
   return Status::OK();
 }
 
 Status StateUnpacker::Scalar(const std::string& name, float* v) {
-  const NamedTensor* entry = nullptr;
+  NamedTensor* entry = nullptr;
   KGREC_RETURN_IF_ERROR(Find(name, &entry));
   if (entry->data.size() != 1) {
     return Status::FailedPrecondition("checkpoint entry '" + name +

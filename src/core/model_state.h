@@ -110,7 +110,7 @@ class StateUnpacker : public StateVisitor {
   Status CheckFullyConsumed() const;
 
  private:
-  Status Find(const std::string& name, const NamedTensor** out);
+  Status Find(const std::string& name, NamedTensor** out);
 
   std::vector<NamedTensor> tensors_;
   std::unordered_map<std::string, size_t> index_;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/aligned.h"
 #include "core/status.h"
 #include "nn/tensor.h"
 
@@ -14,11 +15,13 @@ namespace kgrec {
 /// these, under a CheckpointHeader, is the one serialized form of model
 /// state: Save/Load write and read it as a ".kgrc" file, and CloneModel
 /// (core/registry.h) hands it from one instance to another in memory.
+/// `data` is the aligned store an nn::Tensor keeps, so a restored
+/// parameter adopts the buffer read from disk instead of copying it.
 struct NamedTensor {
   std::string name;
   size_t rows = 0;
   size_t cols = 0;
-  std::vector<float> data;
+  AlignedVector<float> data;
 };
 
 /// Current version of the model-checkpoint container format ("KGRC").

@@ -92,6 +92,10 @@ void CfkgRecommender::FillUserQuery(int32_t user,
                         out.data());
 }
 
+size_t CfkgRecommender::factor_users() const {
+  return graph_ != nullptr ? static_cast<size_t>(graph_->num_users) : 0;
+}
+
 float CfkgRecommender::Score(int32_t user, int32_t item) const {
   // KGE plausibility of <user, interact, item> (higher = preferred,
   // survey Eq. 7), computed through the fixed-relation factorization so

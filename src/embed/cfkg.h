@@ -61,7 +61,12 @@ class CfkgRecommender : public Recommender, public DotProductFactors {
   size_t factor_dim() const override { return config_.dim; }
   retrieval::ScoreKernel factor_kernel() const override;
   retrieval::ItemFactors ExportItemFactors() const override;
+  retrieval::ItemFactorView BorrowItemFactors() const override {
+    return {factor_kernel(), item_factors_.data(), item_factors_.rows(),
+            item_factors_.cols()};
+  }
   void FillUserQuery(int32_t user, std::span<float> out) const override;
+  size_t factor_users() const override;
 
  protected:
   /// The KGE backend is reconstructed by PrepareLoad and its parameters

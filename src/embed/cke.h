@@ -64,7 +64,12 @@ class CkeRecommender : public Recommender, public DotProductFactors {
     return retrieval::ScoreKernel::kDot;
   }
   retrieval::ItemFactors ExportItemFactors() const override;
+  retrieval::ItemFactorView BorrowItemFactors() const override {
+    return {factor_kernel(), item_vecs_.data(), item_vecs_.rows(),
+            item_vecs_.cols()};
+  }
   void FillUserQuery(int32_t user, std::span<float> out) const override;
+  size_t factor_users() const override { return user_vecs_.rows(); }
 
  protected:
   /// The cached final user/item vectors are the whole serving state.

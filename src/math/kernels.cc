@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 // Dispatch resolution. KGREC_SIMD_OFF / KGREC_SIMD_FORCE_SSE2 come from
 // the KGREC_SIMD CMake knob; __SSE2__/__AVX2__ from the compile target.
@@ -214,54 +215,83 @@ void SoftmaxRows(const float* x, float* y, size_t rows, size_t cols) {
 }
 
 KGREC_NO_AUTOVEC
-int32_t DotI8(const int8_t* weights, const uint8_t* codes, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(weights[i]) * static_cast<int32_t>(codes[i]);
-  }
-  return acc;
-}
-
-KGREC_NO_AUTOVEC
-void DotBatchI8(const int8_t* weights, const uint8_t* const* rows,
-                size_t count, size_t n, int32_t* out) {
-  for (size_t q = 0; q < count; ++q) out[q] = DotI8(weights, rows[q], n);
-}
-
-KGREC_NO_AUTOVEC
-void DotDualBatchI8(const int8_t* w_hi, const int8_t* w_lo,
-                    const uint8_t* const* rows, size_t count, size_t n,
-                    int32_t* out_hi, int32_t* out_lo) {
-  for (size_t q = 0; q < count; ++q) {
-    const uint8_t* codes = rows[q];
-    int32_t hi = 0;
-    int32_t lo = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t c = static_cast<int32_t>(codes[i]);
-      hi += static_cast<int32_t>(w_hi[i]) * c;
-      lo += static_cast<int32_t>(w_lo[i]) * c;
+uint32_t DotBlockI8(const int16_t* weights, const uint8_t* block,
+                    size_t pairs, int32_t min_score, int32_t* scores) {
+  uint32_t mask = 0;
+  for (size_t r = 0; r < kI8BlockRows; ++r) {
+    int32_t acc = 0;
+    for (size_t d = 0; d < 2 * pairs; ++d) {
+      const uint8_t code = block[((d / 2) * kI8BlockRows + r) * 2 + d % 2];
+      acc += static_cast<int32_t>(weights[d]) * static_cast<int32_t>(code);
     }
-    out_hi[q] = hi;
-    out_lo[q] = lo;
+    scores[r] = acc;
+    if (acc >= min_score) mask |= uint32_t{1} << r;
   }
+  return mask;
 }
 
 KGREC_NO_AUTOVEC
-int32_t SquaredDistanceI8(const uint8_t* a, const uint8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t d = static_cast<int32_t>(a[i]) - static_cast<int32_t>(b[i]);
-    acc += d * d;
+uint32_t NegSquaredDistanceBlockI8(const int16_t* query, const uint8_t* block,
+                                   size_t pairs, int32_t min_score,
+                                   int32_t* scores) {
+  uint32_t mask = 0;
+  for (size_t r = 0; r < kI8BlockRows; ++r) {
+    int32_t acc = 0;
+    for (size_t d = 0; d < 2 * pairs; ++d) {
+      const uint8_t code = block[((d / 2) * kI8BlockRows + r) * 2 + d % 2];
+      const int32_t diff =
+          static_cast<int32_t>(code) - static_cast<int32_t>(query[d]);
+      acc -= diff * diff;
+    }
+    scores[r] = acc;
+    if (acc >= min_score) mask |= uint32_t{1} << r;
   }
-  return acc;
+  return mask;
 }
 
 KGREC_NO_AUTOVEC
-void SquaredDistanceBatchI8(const uint8_t* query, const uint8_t* const* rows,
-                            size_t count, size_t n, int32_t* out) {
-  for (size_t q = 0; q < count; ++q) {
-    out[q] = SquaredDistanceI8(query, rows[q], n);
+void FiniteColumnRange(const float* x, size_t rows, size_t n, float* lo,
+                       float* hi) {
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = x + r * n;
+    for (size_t d = 0; d < n; ++d) {
+      if (!std::isfinite(row[d])) continue;
+      if (row[d] < lo[d]) lo[d] = row[d];
+      if (row[d] > hi[d]) hi[d] = row[d];
+    }
   }
+}
+
+namespace {
+
+/// One code of EncodeRowU8. Clamping the quotient before rounding leaves
+/// a value in [0, 255] whose floor is its truncation.
+uint8_t EncodeU8(float x, float vmin, float delta) {
+  if (std::isnan(x)) return 0;
+  if (std::isinf(x)) return x > 0.0f ? 255 : 0;
+  if (delta == 0.0f) return 0;
+  const double v = std::clamp(
+      (static_cast<double>(x) - static_cast<double>(vmin)) /
+          static_cast<double>(delta),
+      0.0, 255.0);
+  const int32_t base = static_cast<int32_t>(v);
+  const double frac = v - static_cast<double>(base);
+  const bool up = frac > 0.5 || (frac == 0.5 && (base & 1) != 0);
+  return static_cast<uint8_t>(base + (up ? 1 : 0));
+}
+
+}  // namespace
+
+KGREC_NO_AUTOVEC
+bool EncodeRowU8(const float* x, const float* vmin, const float* delta,
+                 const float* /*inv_delta*/, size_t n, size_t pair_stride,
+                 uint8_t* out) {
+  bool finite = true;
+  for (size_t d = 0; d < n; ++d) {
+    out[(d / 2) * pair_stride + d % 2] = EncodeU8(x[d], vmin[d], delta[d]);
+    finite &= std::isfinite(x[d]);
+  }
+  return finite;
 }
 
 }  // namespace ref
@@ -564,263 +594,239 @@ void SoftmaxRows(const float* x, float* y, size_t rows, size_t cols) {
   }
 }
 
-// Int8 reductions. Strategy: widen u8/i8 bytes to i16 lanes, multiply-add
-// adjacent pairs into i32 lanes with madd_epi16 (the products fit i16*i16
-// -> i32 with room: |w|*c <= 128*255 = 32640 per element, <= 65280 per
-// pair), accumulate in an i32 vector, fold at the end. NOT maddubs:
-// _mm_maddubs_epi16 saturates its i16 pair-sum (65280 > 32767), which
-// would silently break the exact-integer property these kernels promise.
-//
-// The widening must preserve sign: codes are zero-extended (unpack
-// against a zero register), weights are sign-extended (unpack against
-// their own sign mask, the SSE2 idiom for cvtepi8).
-
-int32_t DotI8(const int8_t* weights, const uint8_t* codes, size_t n) {
-  size_t i = 0;
-  int32_t r = 0;
-#if KGREC_KERNELS_AVX2
-  {
-    __m256i acc = _mm256_setzero_si256();
-    for (; i + 16 <= n; i += 16) {
-      const __m256i c16 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i)));
-      const __m256i w16 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(weights + i)));
-      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(c16, w16));
-    }
-    alignas(32) int32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (int t = 0; t < 8; ++t) r += lanes[t];
-  }
-#else
-  {
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc = _mm_setzero_si128();
-    for (; i + 16 <= n; i += 16) {
-      const __m128i c8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-      const __m128i w8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(weights + i));
-      const __m128i wsign = _mm_cmpgt_epi8(zero, w8);
-      const __m128i c_lo = _mm_unpacklo_epi8(c8, zero);
-      const __m128i c_hi = _mm_unpackhi_epi8(c8, zero);
-      const __m128i w_lo = _mm_unpacklo_epi8(w8, wsign);
-      const __m128i w_hi = _mm_unpackhi_epi8(w8, wsign);
-      acc = _mm_add_epi32(acc, _mm_madd_epi16(c_lo, w_lo));
-      acc = _mm_add_epi32(acc, _mm_madd_epi16(c_hi, w_hi));
-    }
-    alignas(16) int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    r = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-  }
-#endif
-  for (; i < n; ++i) {
-    r += static_cast<int32_t>(weights[i]) * static_cast<int32_t>(codes[i]);
-  }
-  return r;
-}
-
-void DotBatchI8(const int8_t* weights, const uint8_t* const* rows,
-                size_t count, size_t n, int32_t* out) {
-  for (size_t q = 0; q < count; ++q) out[q] = DotI8(weights, rows[q], n);
-}
+// Int8 block kernels. Each 16-byte load is 8 rows x one dim pair;
+// zero-extended to i16 it meets the broadcast i16 operand pair in
+// madd_epi16, which sums the pair's two products into the row's int32
+// lane (|w| * c <= 16256 * 255 per product, far inside i32). The
+// accumulators therefore hold rows in order, one lane each: SSE2 keeps
+// 8 registers of 4 rows, AVX2 4 registers of 8. The last step compares
+// every lane against min_score and packs the survivors' bits.
 
 namespace {
 
-// Transpose-and-add fold: four 4-lane i32 partial-sum vectors (one per
-// row) -> one vector [sumA, sumB, sumC, sumD]. Integer addition is
-// exact under any association, so batching the horizontal reduction
-// this way cannot change results — it only amortizes the fold cost that
-// otherwise dominates per-row work at small dims.
-inline __m128i FoldRows4I32(__m128i a, __m128i b, __m128i c, __m128i d) {
-  const __m128i t0 = _mm_unpacklo_epi32(a, b);   // a0 b0 a1 b1
-  const __m128i t1 = _mm_unpackhi_epi32(a, b);   // a2 b2 a3 b3
-  const __m128i t2 = _mm_unpacklo_epi32(c, d);   // c0 d0 c1 d1
-  const __m128i t3 = _mm_unpackhi_epi32(c, d);   // c2 d2 c3 d3
-  const __m128i s0 = _mm_add_epi32(t0, t1);      // a02 b02 a13 b13
-  const __m128i s1 = _mm_add_epi32(t2, t3);      // c02 d02 c13 d13
-  const __m128i u0 = _mm_unpacklo_epi64(s0, s1); // a02 b02 c02 d02
-  const __m128i u1 = _mm_unpackhi_epi64(s0, s1); // a13 b13 c13 d13
-  return _mm_add_epi32(u0, u1);
+/// The i16 operand pair (op[2p], op[2p + 1]) of dim pair p, broadcast to
+/// every 32-bit lane; little-endian puts op[2p] in the low half, facing
+/// the row's first code byte.
+inline int32_t OperandPair(const int16_t* op, size_t p) {
+  int32_t pair;
+  std::memcpy(&pair, op + 2 * p, sizeof(pair));
+  return pair;
 }
 
 #if KGREC_KERNELS_AVX2
-inline __m128i NarrowI32(__m256i acc) {
-  return _mm_add_epi32(_mm256_castsi256_si128(acc),
-                       _mm256_extracti128_si256(acc, 1));
+
+/// Rows 8j..8j+7 of dim pair p as i16 (code, code) lane pairs.
+inline __m256i LoadRows8(const uint8_t* block, size_t p, int j) {
+  return _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(
+      block + p * 2 * kI8BlockRows + 16 * j)));
 }
+
+/// Stores the 32 row scores and returns the rows >= min_score.
+inline uint32_t StoreAndMask(const __m256i* acc, int32_t min_score,
+                             int32_t* scores) {
+  const __m256i bound = _mm256_set1_epi32(min_score);
+  uint32_t rejected = 0;
+  for (int j = 0; j < 4; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(scores + 8 * j), acc[j]);
+    const __m256i below = _mm256_cmpgt_epi32(bound, acc[j]);
+    rejected |= static_cast<uint32_t>(
+                    _mm256_movemask_ps(_mm256_castsi256_ps(below)))
+                << (8 * j);
+  }
+  return ~rejected;
+}
+
+#else
+
+/// Rows 8j..8j+3 (lo) and 8j+4..8j+7 (hi) of dim pair p as i16
+/// (code, code) lane pairs.
+inline void LoadRows8(const uint8_t* block, size_t p, int j, __m128i* lo,
+                      __m128i* hi) {
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i c8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+      block + p * 2 * kI8BlockRows + 16 * j));
+  *lo = _mm_unpacklo_epi8(c8, zero);
+  *hi = _mm_unpackhi_epi8(c8, zero);
+}
+
+inline uint32_t StoreAndMask(const __m128i* acc, int32_t min_score,
+                             int32_t* scores) {
+  const __m128i bound = _mm_set1_epi32(min_score);
+  uint32_t rejected = 0;
+  for (int j = 0; j < 8; ++j) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(scores + 4 * j), acc[j]);
+    const __m128i below = _mm_cmplt_epi32(acc[j], bound);
+    rejected |= static_cast<uint32_t>(
+                    _mm_movemask_ps(_mm_castsi128_ps(below)))
+                << (4 * j);
+  }
+  return ~rejected;
+}
+
 #endif
 
 }  // namespace
 
-void DotDualBatchI8(const int8_t* w_hi, const int8_t* w_lo,
-                    const uint8_t* const* rows, size_t count, size_t n,
-                    int32_t* out_hi, int32_t* out_lo) {
-  size_t q = 0;
-  // Four rows per block: each 16-byte code load feeds two madds (hi and
-  // lo weights), and all eight horizontal folds collapse into two
-  // transpose folds. Exact-integer accumulation keeps this bitwise
-  // equal to ref:: for any blocking.
-  for (; q + 4 <= count; q += 4) {
-    const uint8_t* r0 = rows[q + 0];
-    const uint8_t* r1 = rows[q + 1];
-    const uint8_t* r2 = rows[q + 2];
-    const uint8_t* r3 = rows[q + 3];
-    size_t i = 0;
+uint32_t DotBlockI8(const int16_t* weights, const uint8_t* block,
+                    size_t pairs, int32_t min_score, int32_t* scores) {
 #if KGREC_KERNELS_AVX2
-    __m256i h0 = _mm256_setzero_si256(), h1 = h0, h2 = h0, h3 = h0;
-    __m256i l0 = h0, l1 = h0, l2 = h0, l3 = h0;
-    for (; i + 16 <= n; i += 16) {
-      const __m256i wh = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w_hi + i)));
-      const __m256i wl = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w_lo + i)));
-      const __m256i c0 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0 + i)));
-      const __m256i c1 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1 + i)));
-      const __m256i c2 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2 + i)));
-      const __m256i c3 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3 + i)));
-      h0 = _mm256_add_epi32(h0, _mm256_madd_epi16(c0, wh));
-      h1 = _mm256_add_epi32(h1, _mm256_madd_epi16(c1, wh));
-      h2 = _mm256_add_epi32(h2, _mm256_madd_epi16(c2, wh));
-      h3 = _mm256_add_epi32(h3, _mm256_madd_epi16(c3, wh));
-      l0 = _mm256_add_epi32(l0, _mm256_madd_epi16(c0, wl));
-      l1 = _mm256_add_epi32(l1, _mm256_madd_epi16(c1, wl));
-      l2 = _mm256_add_epi32(l2, _mm256_madd_epi16(c2, wl));
-      l3 = _mm256_add_epi32(l3, _mm256_madd_epi16(c3, wl));
-    }
-    const __m128i rh =
-        FoldRows4I32(NarrowI32(h0), NarrowI32(h1), NarrowI32(h2), NarrowI32(h3));
-    const __m128i rl =
-        FoldRows4I32(NarrowI32(l0), NarrowI32(l1), NarrowI32(l2), NarrowI32(l3));
-#else
-    const __m128i zero = _mm_setzero_si128();
-    __m128i h0 = _mm_setzero_si128(), h1 = h0, h2 = h0, h3 = h0;
-    __m128i l0 = h0, l1 = h0, l2 = h0, l3 = h0;
-    for (; i + 16 <= n; i += 16) {
-      const __m128i wh8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w_hi + i));
-      const __m128i wl8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w_lo + i));
-      const __m128i whs = _mm_cmpgt_epi8(zero, wh8);
-      const __m128i wls = _mm_cmpgt_epi8(zero, wl8);
-      const __m128i wh_lo = _mm_unpacklo_epi8(wh8, whs);
-      const __m128i wh_hi = _mm_unpackhi_epi8(wh8, whs);
-      const __m128i wl_lo = _mm_unpacklo_epi8(wl8, wls);
-      const __m128i wl_hi = _mm_unpackhi_epi8(wl8, wls);
-      const __m128i c0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0 + i));
-      const __m128i c1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1 + i));
-      const __m128i c2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2 + i));
-      const __m128i c3 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3 + i));
-      const __m128i c0_lo = _mm_unpacklo_epi8(c0, zero);
-      const __m128i c0_hi = _mm_unpackhi_epi8(c0, zero);
-      const __m128i c1_lo = _mm_unpacklo_epi8(c1, zero);
-      const __m128i c1_hi = _mm_unpackhi_epi8(c1, zero);
-      const __m128i c2_lo = _mm_unpacklo_epi8(c2, zero);
-      const __m128i c2_hi = _mm_unpackhi_epi8(c2, zero);
-      const __m128i c3_lo = _mm_unpacklo_epi8(c3, zero);
-      const __m128i c3_hi = _mm_unpackhi_epi8(c3, zero);
-      h0 = _mm_add_epi32(h0, _mm_madd_epi16(c0_lo, wh_lo));
-      h0 = _mm_add_epi32(h0, _mm_madd_epi16(c0_hi, wh_hi));
-      h1 = _mm_add_epi32(h1, _mm_madd_epi16(c1_lo, wh_lo));
-      h1 = _mm_add_epi32(h1, _mm_madd_epi16(c1_hi, wh_hi));
-      h2 = _mm_add_epi32(h2, _mm_madd_epi16(c2_lo, wh_lo));
-      h2 = _mm_add_epi32(h2, _mm_madd_epi16(c2_hi, wh_hi));
-      h3 = _mm_add_epi32(h3, _mm_madd_epi16(c3_lo, wh_lo));
-      h3 = _mm_add_epi32(h3, _mm_madd_epi16(c3_hi, wh_hi));
-      l0 = _mm_add_epi32(l0, _mm_madd_epi16(c0_lo, wl_lo));
-      l0 = _mm_add_epi32(l0, _mm_madd_epi16(c0_hi, wl_hi));
-      l1 = _mm_add_epi32(l1, _mm_madd_epi16(c1_lo, wl_lo));
-      l1 = _mm_add_epi32(l1, _mm_madd_epi16(c1_hi, wl_hi));
-      l2 = _mm_add_epi32(l2, _mm_madd_epi16(c2_lo, wl_lo));
-      l2 = _mm_add_epi32(l2, _mm_madd_epi16(c2_hi, wl_hi));
-      l3 = _mm_add_epi32(l3, _mm_madd_epi16(c3_lo, wl_lo));
-      l3 = _mm_add_epi32(l3, _mm_madd_epi16(c3_hi, wl_hi));
-    }
-    const __m128i rh = FoldRows4I32(h0, h1, h2, h3);
-    const __m128i rl = FoldRows4I32(l0, l1, l2, l3);
-#endif
-    alignas(16) int32_t hs[4];
-    alignas(16) int32_t ls[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(hs), rh);
-    _mm_store_si128(reinterpret_cast<__m128i*>(ls), rl);
-    for (int r = 0; r < 4; ++r) {
-      const uint8_t* codes = rows[q + r];
-      int32_t hi = hs[r];
-      int32_t lo = ls[r];
-      for (size_t t = i; t < n; ++t) {
-        const int32_t c = static_cast<int32_t>(codes[t]);
-        hi += static_cast<int32_t>(w_hi[t]) * c;
-        lo += static_cast<int32_t>(w_lo[t]) * c;
-      }
-      out_hi[q + r] = hi;
-      out_lo[q + r] = lo;
-    }
+  __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0;
+  for (size_t p = 0; p < pairs; ++p) {
+    const __m256i w = _mm256_set1_epi32(OperandPair(weights, p));
+    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(LoadRows8(block, p, 0), w));
+    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(LoadRows8(block, p, 1), w));
+    a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(LoadRows8(block, p, 2), w));
+    a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(LoadRows8(block, p, 3), w));
   }
-  for (; q < count; ++q) {
-    out_hi[q] = DotI8(w_hi, rows[q], n);
-    out_lo[q] = DotI8(w_lo, rows[q], n);
+  const __m256i acc[4] = {a0, a1, a2, a3};
+#else
+  __m128i a0 = _mm_setzero_si128(), a1 = a0, a2 = a0, a3 = a0;
+  __m128i a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+  for (size_t p = 0; p < pairs; ++p) {
+    const __m128i w = _mm_set1_epi32(OperandPair(weights, p));
+    __m128i lo, hi;
+    LoadRows8(block, p, 0, &lo, &hi);
+    a0 = _mm_add_epi32(a0, _mm_madd_epi16(lo, w));
+    a1 = _mm_add_epi32(a1, _mm_madd_epi16(hi, w));
+    LoadRows8(block, p, 1, &lo, &hi);
+    a2 = _mm_add_epi32(a2, _mm_madd_epi16(lo, w));
+    a3 = _mm_add_epi32(a3, _mm_madd_epi16(hi, w));
+    LoadRows8(block, p, 2, &lo, &hi);
+    a4 = _mm_add_epi32(a4, _mm_madd_epi16(lo, w));
+    a5 = _mm_add_epi32(a5, _mm_madd_epi16(hi, w));
+    LoadRows8(block, p, 3, &lo, &hi);
+    a6 = _mm_add_epi32(a6, _mm_madd_epi16(lo, w));
+    a7 = _mm_add_epi32(a7, _mm_madd_epi16(hi, w));
+  }
+  const __m128i acc[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
+#endif
+  return StoreAndMask(acc, min_score, scores);
+}
+
+uint32_t NegSquaredDistanceBlockI8(const int16_t* query, const uint8_t* block,
+                                   size_t pairs, int32_t min_score,
+                                   int32_t* scores) {
+  // Accumulates the negated distance: madd(d, d) is the pair's squared
+  // distance, subtracted from the row's lane (d fits i16: [-255, 255]).
+#if KGREC_KERNELS_AVX2
+  __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0;
+  for (size_t p = 0; p < pairs; ++p) {
+    const __m256i q = _mm256_set1_epi32(OperandPair(query, p));
+    const __m256i d0 = _mm256_sub_epi16(LoadRows8(block, p, 0), q);
+    const __m256i d1 = _mm256_sub_epi16(LoadRows8(block, p, 1), q);
+    const __m256i d2 = _mm256_sub_epi16(LoadRows8(block, p, 2), q);
+    const __m256i d3 = _mm256_sub_epi16(LoadRows8(block, p, 3), q);
+    a0 = _mm256_sub_epi32(a0, _mm256_madd_epi16(d0, d0));
+    a1 = _mm256_sub_epi32(a1, _mm256_madd_epi16(d1, d1));
+    a2 = _mm256_sub_epi32(a2, _mm256_madd_epi16(d2, d2));
+    a3 = _mm256_sub_epi32(a3, _mm256_madd_epi16(d3, d3));
+  }
+  const __m256i acc[4] = {a0, a1, a2, a3};
+#else
+  __m128i a0 = _mm_setzero_si128(), a1 = a0, a2 = a0, a3 = a0;
+  __m128i a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+  for (size_t p = 0; p < pairs; ++p) {
+    const __m128i q = _mm_set1_epi32(OperandPair(query, p));
+    __m128i lo, hi;
+    LoadRows8(block, p, 0, &lo, &hi);
+    lo = _mm_sub_epi16(lo, q);
+    hi = _mm_sub_epi16(hi, q);
+    a0 = _mm_sub_epi32(a0, _mm_madd_epi16(lo, lo));
+    a1 = _mm_sub_epi32(a1, _mm_madd_epi16(hi, hi));
+    LoadRows8(block, p, 1, &lo, &hi);
+    lo = _mm_sub_epi16(lo, q);
+    hi = _mm_sub_epi16(hi, q);
+    a2 = _mm_sub_epi32(a2, _mm_madd_epi16(lo, lo));
+    a3 = _mm_sub_epi32(a3, _mm_madd_epi16(hi, hi));
+    LoadRows8(block, p, 2, &lo, &hi);
+    lo = _mm_sub_epi16(lo, q);
+    hi = _mm_sub_epi16(hi, q);
+    a4 = _mm_sub_epi32(a4, _mm_madd_epi16(lo, lo));
+    a5 = _mm_sub_epi32(a5, _mm_madd_epi16(hi, hi));
+    LoadRows8(block, p, 3, &lo, &hi);
+    lo = _mm_sub_epi16(lo, q);
+    hi = _mm_sub_epi16(hi, q);
+    a6 = _mm_sub_epi32(a6, _mm_madd_epi16(lo, lo));
+    a7 = _mm_sub_epi32(a7, _mm_madd_epi16(hi, hi));
+  }
+  const __m128i acc[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
+#endif
+  return StoreAndMask(acc, min_score, scores);
+}
+
+void FiniteColumnRange(const float* x, size_t rows, size_t n, float* lo,
+                       float* hi) {
+  // Non-finite entries become NaN, and min/max take their *second*
+  // operand for a NaN: minps(v, lo) = v < lo ? v : lo is the reference's
+  // update exactly, ties keeping the earlier entry.
+  const __m128 nan = _mm_set1_ps(std::numeric_limits<float>::quiet_NaN());
+  const size_t n4 = n - n % 4;
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = x + r * n;
+    for (size_t d = 0; d < n4; d += 4) {
+      const __m128 v = _mm_loadu_ps(row + d);
+      const __m128 finite = _mm_cmpeq_ps(_mm_sub_ps(v, v), _mm_setzero_ps());
+      const __m128 kept =
+          _mm_or_ps(_mm_and_ps(finite, v), _mm_andnot_ps(finite, nan));
+      _mm_storeu_ps(lo + d, _mm_min_ps(kept, _mm_loadu_ps(lo + d)));
+      _mm_storeu_ps(hi + d, _mm_max_ps(kept, _mm_loadu_ps(hi + d)));
+    }
+    if (n4 < n) ref::FiniteColumnRange(row + n4, 1, n - n4, lo + n4, hi + n4);
   }
 }
 
-int32_t SquaredDistanceI8(const uint8_t* a, const uint8_t* b, size_t n) {
-  size_t i = 0;
-  int32_t r = 0;
-#if KGREC_KERNELS_AVX2
-  {
-    __m256i acc = _mm256_setzero_si256();
-    for (; i + 16 <= n; i += 16) {
-      const __m256i a16 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-      const __m256i b16 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-      const __m256i d = _mm256_sub_epi16(a16, b16);  // fits i16: [-255, 255]
-      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
+bool EncodeRowU8(const float* x, const float* vmin, const float* delta,
+                 const float* inv_delta, size_t n, size_t pair_stride,
+                 uint8_t* out) {
+  // Four dims per step in float. For the in-grid quotient q, the float
+  // estimate p = (x - vmin) * inv_delta carries three roundings, so
+  // |p - q| <= 3 * 2^-24 * 256 < 5e-5 while |p| < 2^30, and the double
+  // quotient of the reference is within 1e-13 of q. Clamped, both round
+  // to the same code unless p's fraction lies within 1e-4 of one half;
+  // such a step — or one with an estimate out of range, NaN or a zero
+  // step (inv_delta = inf) — is redone by the reference. max/min send
+  // +inf to 255 and -inf to 0 like the reference. A step kept in float
+  // had four finite inputs: a non-finite x[d] makes its estimate
+  // non-finite, hence out of range.
+  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+  const __m128 half = _mm_set1_ps(0.5f);
+  const __m128 top = _mm_set1_ps(255.0f);
+  const __m128 in_range = _mm_set1_ps(1073741824.0f);  // 2^30
+  const __m128 margin = _mm_set1_ps(1e-4f);
+  const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
+  bool finite = true;
+  size_t d = 0;
+  for (; d + 4 <= n; d += 4) {
+    const __m128 inv = _mm_loadu_ps(inv_delta + d);
+    const __m128 p = _mm_mul_ps(
+        _mm_sub_ps(_mm_loadu_ps(x + d), _mm_loadu_ps(vmin + d)), inv);
+    const __m128 v = _mm_min_ps(_mm_max_ps(p, _mm_setzero_ps()), top);
+    const __m128i base = _mm_cvttps_epi32(v);
+    const __m128 frac = _mm_sub_ps(v, _mm_cvtepi32_ps(base));
+    const __m128 sure = _mm_and_ps(
+        _mm_and_ps(_mm_cmplt_ps(_mm_and_ps(p, abs_mask), in_range),
+                   _mm_cmplt_ps(inv, inf)),
+        _mm_cmpge_ps(_mm_and_ps(_mm_sub_ps(frac, half), abs_mask), margin));
+    uint8_t* pairs = out + (d / 2) * pair_stride;
+    if (_mm_movemask_ps(sure) != 0xF) {
+      finite &= ref::EncodeRowU8(x + d, vmin + d, delta + d, inv_delta + d, 4,
+                                 pair_stride, pairs);
+      continue;
     }
-    alignas(32) int32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (int t = 0; t < 8; ++t) r += lanes[t];
+    const __m128i up = _mm_castps_si128(_mm_cmpgt_ps(frac, half));
+    __m128i code = _mm_sub_epi32(base, up);
+    code = _mm_packus_epi16(_mm_packs_epi32(code, code), code);
+    const uint32_t bytes = static_cast<uint32_t>(_mm_cvtsi128_si32(code));
+    pairs[0] = static_cast<uint8_t>(bytes);
+    pairs[1] = static_cast<uint8_t>(bytes >> 8);
+    pairs[pair_stride] = static_cast<uint8_t>(bytes >> 16);
+    pairs[pair_stride + 1] = static_cast<uint8_t>(bytes >> 24);
   }
-#else
-  {
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc = _mm_setzero_si128();
-    for (; i + 16 <= n; i += 16) {
-      const __m128i a8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-      const __m128i b8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-      const __m128i d_lo =
-          _mm_sub_epi16(_mm_unpacklo_epi8(a8, zero), _mm_unpacklo_epi8(b8, zero));
-      const __m128i d_hi =
-          _mm_sub_epi16(_mm_unpackhi_epi8(a8, zero), _mm_unpackhi_epi8(b8, zero));
-      acc = _mm_add_epi32(acc, _mm_madd_epi16(d_lo, d_lo));
-      acc = _mm_add_epi32(acc, _mm_madd_epi16(d_hi, d_hi));
-    }
-    alignas(16) int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    r = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+  if (d < n) {
+    finite &= ref::EncodeRowU8(x + d, vmin + d, delta + d, inv_delta + d,
+                               n - d, pair_stride, out + (d / 2) * pair_stride);
   }
-#endif
-  for (; i < n; ++i) {
-    const int32_t d = static_cast<int32_t>(a[i]) - static_cast<int32_t>(b[i]);
-    r += d * d;
-  }
-  return r;
-}
-
-void SquaredDistanceBatchI8(const uint8_t* query, const uint8_t* const* rows,
-                            size_t count, size_t n, int32_t* out) {
-  for (size_t q = 0; q < count; ++q) {
-    out[q] = SquaredDistanceI8(query, rows[q], n);
-  }
+  return finite;
 }
 
 #else  // !KGREC_KERNELS_SSE2: the public entry points are the reference.
@@ -866,24 +872,25 @@ void SoftplusMap(const float* x, float* y, size_t n) {
 void SoftmaxRows(const float* x, float* y, size_t rows, size_t cols) {
   ref::SoftmaxRows(x, y, rows, cols);
 }
-int32_t DotI8(const int8_t* weights, const uint8_t* codes, size_t n) {
-  return ref::DotI8(weights, codes, n);
+uint32_t DotBlockI8(const int16_t* weights, const uint8_t* block,
+                    size_t pairs, int32_t min_score, int32_t* scores) {
+  return ref::DotBlockI8(weights, block, pairs, min_score, scores);
 }
-void DotBatchI8(const int8_t* weights, const uint8_t* const* rows,
-                size_t count, size_t n, int32_t* out) {
-  ref::DotBatchI8(weights, rows, count, n, out);
+uint32_t NegSquaredDistanceBlockI8(const int16_t* query, const uint8_t* block,
+                                   size_t pairs, int32_t min_score,
+                                   int32_t* scores) {
+  return ref::NegSquaredDistanceBlockI8(query, block, pairs, min_score,
+                                        scores);
 }
-void DotDualBatchI8(const int8_t* w_hi, const int8_t* w_lo,
-                    const uint8_t* const* rows, size_t count, size_t n,
-                    int32_t* out_hi, int32_t* out_lo) {
-  ref::DotDualBatchI8(w_hi, w_lo, rows, count, n, out_hi, out_lo);
+
+void FiniteColumnRange(const float* x, size_t rows, size_t n, float* lo,
+                       float* hi) {
+  ref::FiniteColumnRange(x, rows, n, lo, hi);
 }
-int32_t SquaredDistanceI8(const uint8_t* a, const uint8_t* b, size_t n) {
-  return ref::SquaredDistanceI8(a, b, n);
-}
-void SquaredDistanceBatchI8(const uint8_t* query, const uint8_t* const* rows,
-                            size_t count, size_t n, int32_t* out) {
-  ref::SquaredDistanceBatchI8(query, rows, count, n, out);
+bool EncodeRowU8(const float* x, const float* vmin, const float* delta,
+                 const float* inv_delta, size_t n, size_t pair_stride,
+                 uint8_t* out) {
+  return ref::EncodeRowU8(x, vmin, delta, inv_delta, n, pair_stride, out);
 }
 
 #endif  // KGREC_KERNELS_SSE2

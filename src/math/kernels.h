@@ -128,51 +128,68 @@ void SoftplusMap(const float* x, float* y, size_t n);
 /// divide every entry by the sum (elementwise contract).
 void SoftmaxRows(const float* x, float* y, size_t rows, size_t cols);
 
-/// # Integer reduction kernels (the SQ8 quantized scan, DESIGN §12)
+/// # Integer block kernels (the SQ8 quantized scan, DESIGN §12)
 ///
-/// These reduce 8-bit codes into an int32 accumulator. Integer addition
-/// is associative and exact, so unlike the float kernels above there is
-/// no block-order fine print: scalar, SSE2 and AVX2 builds are bitwise
-/// identical *by arithmetic*, for any accumulation order — the `ref`
-/// mirrors exist as the plain-loop specification and test oracle, not as
-/// a numerical contract.
+/// The SQ8 scan stores u8 codes in blocks of kI8BlockRows rows with the
+/// dimension pairs interleaved per row: pair p of row r is the two bytes
+/// at offset (p * kI8BlockRows + r) * 2 of the block, holding dims 2p and
+/// 2p + 1. Widened to i16, one 128-bit load of a pair feeds four rows to
+/// one madd_epi16 against a broadcast operand pair, so the kernels keep
+/// one int32 lane per row and never fold horizontally.
+///
+/// Both kernels write one int32 score per row (higher is better) and
+/// return the mask of rows whose score is >= `min_score` (bit r for row
+/// r). Integer addition is exact, so unlike the float kernels above there
+/// is no block-order fine print: scalar, SSE2 and AVX2 builds are bitwise
+/// identical *by arithmetic* — the `ref` mirrors exist as the plain-loop
+/// specification and test oracle, not as a numerical contract. Never
+/// maddubs: it saturates its i16 pair sum.
 ///
 /// Overflow caps (callers must respect; retrieval::QuantizedItemFactors
-/// enforces them at encode time via kMaxSq8Dim):
-///   DotI8:             |sum| <= n * 255 * 128  → safe for n <= 2^31/32640
-///   SquaredDistanceI8:  sum <= n * 255 * 255   → safe for n <= 2^31/65025
-/// Both hold comfortably for n <= 32768.
+/// enforces them at encode time via kMaxSq8Dim = 512):
+///   DotBlockI8:                |score| <= 2 * pairs * 16256 * 255
+///                              → exact in int32 for pairs <= 259
+///   NegSquaredDistanceBlockI8:  |score| <= 2 * pairs * 255 * 255
+inline constexpr size_t kI8BlockRows = 32;
 
-/// Sum of weights[i] * codes[i] with i8 weights and u8 codes — the
-/// integer core of the quantized kDot scan.
-int32_t DotI8(const int8_t* weights, const uint8_t* codes, size_t n);
+/// scores[r] = sum over d < 2 * pairs of weights[d] * code(r, d), with
+/// |weights[d]| <= 16256.
+uint32_t DotBlockI8(const int16_t* weights, const uint8_t* block,
+                    size_t pairs, int32_t min_score, int32_t* scores);
 
-/// `count` integer dots of `weights` against scattered u8 code rows.
-/// out[q] == DotI8(weights, rows[q], n) exactly.
-void DotBatchI8(const int8_t* weights, const uint8_t* const* rows,
-                size_t count, size_t n, int32_t* out);
+/// scores[r] = -(sum over d < 2 * pairs of (code(r, d) - query[d])^2),
+/// with query[d] in [0, 255] (a query on the code grid).
+uint32_t NegSquaredDistanceBlockI8(const int16_t* query, const uint8_t* block,
+                                   size_t pairs, int32_t min_score,
+                                   int32_t* scores);
 
-/// Fused dual reduction: two integer dots per row against the same code
-/// bytes, loading each row exactly once. This is the serve-path kernel
-/// for the SQ8 kDot scan, whose 15-bit query weights are carried as an
-/// (hi, lo) pair of i8 vectors (retrieval::Sq8Query): a plain two-pass
-/// DotBatchI8 costs a second sweep over the codes plus a second
-/// horizontal fold per row, which dominates at small dims.
-///   out_hi[q] == DotI8(w_hi, rows[q], n)
-///   out_lo[q] == DotI8(w_lo, rows[q], n)   (both exactly)
-/// Overflow caps are DotI8's, applied to each output independently.
-void DotDualBatchI8(const int8_t* w_hi, const int8_t* w_lo,
-                    const uint8_t* const* rows, size_t count, size_t n,
-                    int32_t* out_hi, int32_t* out_lo);
+/// Per-column range of the finite entries of a row-major [rows, n]
+/// matrix: lo[d] is lowered to and hi[d] raised to every finite entry of
+/// column d, in row order (the caller seeds them, e.g. +inf / -inf); NaN
+/// and ±inf entries are skipped. Comparisons only, so every build gives
+/// the same floats — including which of -0 and +0 a column keeps (the
+/// first seen).
+void FiniteColumnRange(const float* x, size_t rows, size_t n, float* lo,
+                       float* hi);
 
-/// Sum of (a[i] - b[i])^2 over u8 codes — the integer core of the
-/// quantized kNegSquaredL2 scan (code-space distance).
-int32_t SquaredDistanceI8(const uint8_t* a, const uint8_t* b, size_t n);
-
-/// `count` integer squared distances of `query` against scattered u8
-/// code rows. out[q] == SquaredDistanceI8(query, rows[q], n) exactly.
-void SquaredDistanceBatchI8(const uint8_t* query, const uint8_t* const* rows,
-                            size_t count, size_t n, int32_t* out);
+/// SQ8 encoding of one row of n floats onto per-dimension affine grids,
+/// written in the pair-interleaved block layout above: the code of x[d]
+/// goes to out[(d / 2) * pair_stride + d % 2], with
+///   0    for NaN and -inf, and for finite x[d] when delta[d] == 0;
+///   255  for +inf;
+///   otherwise the round-half-even image of
+///        clamp((x[d] - vmin[d]) / delta[d], 0, 255),
+/// the affine in double. Every step is exact IEEE arithmetic with no
+/// rounding-mode dependence (the rounding is truncation plus an exact
+/// fraction test), so the codes are bitwise identical across builds.
+/// `inv_delta[d]` must be 1.0f / delta[d]: the SIMD path estimates each
+/// code in float from it and redoes in double every code whose estimate
+/// lies within 1e-4 of a rounding boundary — the float estimate is within
+/// 5e-5 of the double quotient there — so it equals ref bitwise.
+/// Returns whether every x[d] is finite.
+bool EncodeRowU8(const float* x, const float* vmin, const float* delta,
+                 const float* inv_delta, size_t n, size_t pair_stride,
+                 uint8_t* out);
 
 /// The scalar reference implementations of every kernel above, compiled
 /// in every build (deliberately without compiler auto-vectorization, so
@@ -200,15 +217,16 @@ void TanhMap(const float* x, float* y, size_t n);
 void ExpMap(const float* x, float* y, size_t n);
 void SoftplusMap(const float* x, float* y, size_t n);
 void SoftmaxRows(const float* x, float* y, size_t rows, size_t cols);
-int32_t DotI8(const int8_t* weights, const uint8_t* codes, size_t n);
-void DotBatchI8(const int8_t* weights, const uint8_t* const* rows,
-                size_t count, size_t n, int32_t* out);
-void DotDualBatchI8(const int8_t* w_hi, const int8_t* w_lo,
-                    const uint8_t* const* rows, size_t count, size_t n,
-                    int32_t* out_hi, int32_t* out_lo);
-int32_t SquaredDistanceI8(const uint8_t* a, const uint8_t* b, size_t n);
-void SquaredDistanceBatchI8(const uint8_t* query, const uint8_t* const* rows,
-                            size_t count, size_t n, int32_t* out);
+uint32_t DotBlockI8(const int16_t* weights, const uint8_t* block,
+                    size_t pairs, int32_t min_score, int32_t* scores);
+uint32_t NegSquaredDistanceBlockI8(const int16_t* query, const uint8_t* block,
+                                   size_t pairs, int32_t min_score,
+                                   int32_t* scores);
+void FiniteColumnRange(const float* x, size_t rows, size_t n, float* lo,
+                       float* hi);
+bool EncodeRowU8(const float* x, const float* vmin, const float* delta,
+                 const float* inv_delta, size_t n, size_t pair_stride,
+                 uint8_t* out);
 }  // namespace ref
 
 }  // namespace kernels

@@ -32,7 +32,9 @@ void GradShadow::Attach(const std::vector<std::shared_ptr<Node>>& leaves) {
     KGREC_CHECK(!leaf->backward);
     // The real buffer must exist up front so AddTo() never allocates
     // and Backward()'s lazy allocation never touches a shadowed leaf.
-    KGREC_CHECK_EQ(leaf->grad.size(), leaf->size());
+    if (leaf->grad.size() != leaf->size()) {
+      leaf->grad.assign(leaf->size(), 0.0f);
+    }
     index_.emplace(leaf.get(), leaves_.size());
     leaves_.push_back(leaf);
     buffers_.emplace_back(leaf->size(), 0.0f);
@@ -96,7 +98,26 @@ Tensor Tensor::FromData(size_t rows, size_t cols, std::vector<float> data,
   return Wrap(std::move(node));
 }
 
+Tensor Tensor::FromAligned(size_t rows, size_t cols, AlignedVector<float> data,
+                           bool requires_grad) {
+  KGREC_CHECK_EQ(data.size(), rows * cols);
+  auto node = std::make_shared<internal::Node>();
+  node->rows = rows;
+  node->cols = cols;
+  node->data = std::move(data);
+  node->requires_grad = requires_grad;
+  return Wrap(std::move(node));
+}
+
 Tensor Tensor::Scalar(float value) { return FromData(1, 1, {value}); }
+
+float* Tensor::GradBuffer() const {
+  internal::Node& node = *node_;
+  if (node.requires_grad && node.grad.size() != node.size()) {
+    node.grad.assign(node.size(), 0.0f);
+  }
+  return node.grad.data();
+}
 
 float Tensor::value() const {
   KGREC_CHECK_EQ(size(), 1u);

@@ -45,7 +45,7 @@ struct Node {
 ///
 /// Only leaves may be registered: a registered node must have no
 /// backward closure of its own (its gradient is only ever *written* by
-/// its consumers), and its grad buffer must already be allocated.
+/// its consumers); Attach allocates its grad buffer if nothing has yet.
 class GradShadow {
  public:
   GradShadow() = default;
@@ -122,6 +122,13 @@ class Tensor {
   static Tensor FromData(size_t rows, size_t cols, std::vector<float> data,
                          bool requires_grad = false);
 
+  /// As FromData, but adopts the already aligned buffer without a copy
+  /// and leaves the gradient buffer to its first use (see grad()): a
+  /// restored model that only serves never allocates it.
+  static Tensor FromAligned(size_t rows, size_t cols,
+                            AlignedVector<float> data,
+                            bool requires_grad = false);
+
   /// Creates a 1x1 constant.
   static Tensor Scalar(float value);
 
@@ -134,9 +141,11 @@ class Tensor {
   float* data() { return node_->data.data(); }
   const float* data() const { return node_->data.data(); }
 
-  /// Gradient buffer; valid after Backward() for requires_grad tensors.
-  float* grad() { return node_->grad.data(); }
-  const float* grad() const { return node_->grad.data(); }
+  /// Gradient buffer of a requires_grad tensor, allocated zero-filled on
+  /// first use when the tensor has none yet (here, in Backward() or in
+  /// GradShadow::Attach).
+  float* grad() { return GradBuffer(); }
+  const float* grad() const { return GradBuffer(); }
 
   /// Value of a 1x1 tensor.
   float value() const;
@@ -151,6 +160,8 @@ class Tensor {
   static Tensor Wrap(std::shared_ptr<internal::Node> node);
 
  private:
+  float* GradBuffer() const;
+
   std::shared_ptr<internal::Node> node_;
 };
 

@@ -48,7 +48,15 @@ class HeteCfRecommender : public Recommender, public DotProductFactors {
     return retrieval::ScoreKernel::kDot;
   }
   retrieval::ItemFactors ExportItemFactors() const override;
+  retrieval::ItemFactorView BorrowItemFactors() const override {
+    if (!item_emb_.defined()) return {};
+    return {factor_kernel(), item_emb_.data(), item_emb_.rows(),
+            item_emb_.cols()};
+  }
   void FillUserQuery(int32_t user, std::span<float> out) const override;
+  size_t factor_users() const override {
+    return user_emb_.defined() ? user_emb_.rows() : 0;
+  }
 
  protected:
   Status VisitState(StateVisitor* visitor) override;

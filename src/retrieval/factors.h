@@ -43,6 +43,27 @@ struct ItemFactors {
   Matrix items;  // [num_items, dim]
 };
 
+/// A read-only view of an item factor table: row-major [rows, dim] in
+/// item-id order, owned elsewhere (an ItemFactors, or a model's own
+/// table — DotProductFactors::BorrowItemFactors).
+struct ItemFactorView {
+  ScoreKernel kernel = ScoreKernel::kDot;
+  const float* data = nullptr;
+  size_t rows = 0;
+  size_t dim = 0;
+
+  ItemFactorView() = default;
+  ItemFactorView(ScoreKernel kernel, const float* data, size_t rows,
+                 size_t dim)
+      : kernel(kernel), data(data), rows(rows), dim(dim) {}
+  /// Views an export in place.
+  ItemFactorView(const ItemFactors& factors)  // NOLINT: implicit by design
+      : ItemFactorView(factors.kernel, factors.items.data(),
+                       factors.items.rows(), factors.items.cols()) {}
+
+  const float* Row(size_t item) const { return data + item * dim; }
+};
+
 /// Sorted, deduplicated, in-range copy of an exclusion list — the
 /// canonical form every retrieval selection consumes (binary-search /
 /// merge-walk exclusion instead of the old -inf sentinel overwrite).
@@ -82,8 +103,22 @@ class DotProductFactors {
   /// model is gone). Only valid after Fit()/Load().
   virtual retrieval::ItemFactors ExportItemFactors() const = 0;
 
+  /// The table ExportItemFactors() copies, in place — or an empty view
+  /// (data == nullptr) when the model keeps no such table to lend. The
+  /// view is valid while the model lives unmodified, so an index built
+  /// over it must not outlive the model: ServeHandle, which owns both,
+  /// borrows it to build its exact index without a second copy.
+  virtual retrieval::ItemFactorView BorrowItemFactors() const { return {}; }
+
   /// Writes user `user`'s query vector into `out` (size factor_dim()).
+  /// Requires 0 <= user < factor_users().
   virtual void FillUserQuery(int32_t user, std::span<float> out) const = 0;
+
+  /// Rows of the user table FillUserQuery reads: any other user id reads
+  /// past it. 0 before Fit()/Load(), and for an exporter that does not
+  /// report its table (a forwarding wrapper) — serving then refuses it
+  /// as a two-stage candidate (serve::ServeHandle::Adopt).
+  virtual size_t factor_users() const { return 0; }
 };
 
 }  // namespace kgrec

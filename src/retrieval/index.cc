@@ -1,10 +1,12 @@
 #include "retrieval/index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/check.h"
-#include "math/kernels.h"
 #include "math/kmeans.h"
 
 namespace kgrec::retrieval {
@@ -18,35 +20,6 @@ void Flush(ScoreKernel kernel, const float* query, size_t dim,
   }
 }
 
-void FlushSq8(const QuantizedItemFactors& quantized, const Sq8Query& query,
-              SearchScratch& scratch, size_t filled, BoundedTopK& pool) {
-  // Integer reduction + affine expansion: the i32 scores are bitwise
-  // identical across scalar/SSE2/AVX2 builds (math/kernels.h), and the
-  // expansion is one float multiply-add per candidate, so the candidate
-  // pool itself is build-invariant — not only the re-ranked result.
-  const size_t dim = quantized.dim();
-  if (quantized.kernel() == ScoreKernel::kDot) {
-    // One fused pass over the streamed block: each code row is read once
-    // and reduced against both halves of the 15-bit query weights
-    // (Sq8Query), then combined in int64 (128 * hi_dot can exceed i32).
-    kernels::DotDualBatchI8(query.weights.data(), query.weights_lo.data(),
-                            scratch.code_rows, filled, dim, scratch.iscores,
-                            scratch.iscores_lo);
-    for (size_t i = 0; i < filled; ++i) {
-      const int64_t combined =
-          128 * static_cast<int64_t>(scratch.iscores[i]) +
-          static_cast<int64_t>(scratch.iscores_lo[i]);
-      pool.Push(scratch.ids[i], quantized.ApproxScore(query, combined));
-    }
-    return;
-  }
-  kernels::SquaredDistanceBatchI8(query.codes.data(), scratch.code_rows,
-                                  filled, dim, scratch.iscores);
-  for (size_t i = 0; i < filled; ++i) {
-    pool.Push(scratch.ids[i], quantized.ApproxScore(query, scratch.iscores[i]));
-  }
-}
-
 }  // namespace
 
 const char* ScanPrecisionName(ScanPrecision precision) {
@@ -57,10 +30,24 @@ const char* ScanPrecisionName(ScanPrecision precision) {
   return "?";
 }
 
+Status ValidateScan(const ScanSpec& scan, size_t dim) {
+  if (scan.precision == ScanPrecision::kSq8 && dim > kMaxSq8Dim) {
+    return Status::InvalidArgument(
+        "SQ8 scans at most " + std::to_string(kMaxSq8Dim) +
+        " factor dims, got " + std::to_string(dim));
+  }
+  return Status::OK();
+}
+
 ItemIndex::ItemIndex(ItemFactors factors, const ScanSpec& scan)
-    : factors_(std::move(factors)), scan_(scan) {
+    : owned_(std::move(factors)), factors_(owned_), scan_(scan) {}
+
+ItemIndex::ItemIndex(ItemFactorView factors, const ScanSpec& scan)
+    : factors_(factors), scan_(scan) {}
+
+void ItemIndex::Quantize(std::span<const std::vector<int32_t>> cells) {
   if (scan_.precision == ScanPrecision::kSq8) {
-    quantized_ = QuantizedItemFactors::Encode(factors_);
+    quantized_ = QuantizedItemFactors::Encode(factors_, cells);
   }
 }
 
@@ -90,7 +77,7 @@ void ItemIndex::ScanRange(int32_t begin, int32_t end, const float* query,
       continue;
     }
     scratch.ids[filled] = id;
-    scratch.rows[filled] = factors_.items.Row(id);
+    scratch.rows[filled] = factors_.Row(id);
     if (++filled == SearchScratch::kBlock) {
       Flush(factors_.kernel, query, dim(), scratch, filled, top);
       filled = 0;
@@ -109,7 +96,7 @@ void ItemIndex::ScanList(std::span<const int32_t> ids, const float* query,
       continue;
     }
     scratch.ids[filled] = id;
-    scratch.rows[filled] = factors_.items.Row(id);
+    scratch.rows[filled] = factors_.Row(id);
     if (++filled == SearchScratch::kBlock) {
       Flush(factors_.kernel, query, dim(), scratch, filled, top);
       filled = 0;
@@ -118,69 +105,44 @@ void ItemIndex::ScanList(std::span<const int32_t> ids, const float* query,
   if (filled > 0) Flush(factors_.kernel, query, dim(), scratch, filled, top);
 }
 
-void ItemIndex::ScanRangeSq8(int32_t begin, int32_t end, const Sq8Query& query,
-                             std::span<const int32_t> sorted_exclude,
-                             SearchScratch& scratch, BoundedTopK& pool) const {
-  const QuantizedItemFactors& q = *quantized_;
-  size_t filled = 0;
-  const int32_t* next_excluded = std::lower_bound(
-      sorted_exclude.data(), sorted_exclude.data() + sorted_exclude.size(),
-      begin);
-  const int32_t* excluded_end =
-      sorted_exclude.data() + sorted_exclude.size();
-  // Second merge walk: non-finite rows divert to scratch.forced.
-  const std::span<const int32_t> nonfinite = q.nonfinite_items();
-  const int32_t* next_nonfinite = std::lower_bound(
-      nonfinite.data(), nonfinite.data() + nonfinite.size(), begin);
-  const int32_t* nonfinite_end = nonfinite.data() + nonfinite.size();
-  for (int32_t id = begin; id < end; ++id) {
-    if (next_excluded != excluded_end && *next_excluded == id) {
-      ++next_excluded;
-      if (next_nonfinite != nonfinite_end && *next_nonfinite == id) {
-        ++next_nonfinite;
-      }
-      continue;
-    }
-    if (next_nonfinite != nonfinite_end && *next_nonfinite == id) {
-      ++next_nonfinite;
-      scratch.forced.push_back(id);
-      continue;
-    }
-    scratch.ids[filled] = id;
-    scratch.code_rows[filled] = q.Codes(static_cast<size_t>(id));
-    if (++filled == SearchScratch::kBlock) {
-      FlushSq8(q, query, scratch, filled, pool);
-      filled = 0;
-    }
-  }
-  if (filled > 0) FlushSq8(q, query, scratch, filled, pool);
-}
-
-void ItemIndex::ScanListSq8(std::span<const int32_t> ids,
-                            const Sq8Query& query,
+void ItemIndex::ScanCellSq8(size_t cell,
                             std::span<const int32_t> sorted_exclude,
-                            SearchScratch& scratch, BoundedTopK& pool) const {
+                            SearchScratch& scratch) const {
   const QuantizedItemFactors& q = *quantized_;
-  const std::span<const int32_t> nonfinite = q.nonfinite_items();
-  size_t filled = 0;
-  for (int32_t id : ids) {
-    if (std::binary_search(sorted_exclude.begin(), sorted_exclude.end(),
-                           id)) {
-      continue;
+  const Sq8Query& query = scratch.query8;
+  BoundedTopK& pool = scratch.pool;
+  const auto floor_of = [&] {
+    return pool.size() == pool.k() ? q.ScoreFloor(query, pool.worst().second)
+                                   : std::numeric_limits<int32_t>::min();
+  };
+  int32_t min_score = floor_of();
+  alignas(32) int32_t scores[QuantizedItemFactors::kBlockRows];
+  for (size_t b = q.cell_begin(cell); b < q.cell_begin(cell + 1); ++b) {
+    // The integer scores are bitwise identical across scalar/SSE2/AVX2
+    // builds (math/kernels.h) and the expansion is one float multiply-add
+    // per survivor, so the candidate pool itself is build-invariant — not
+    // only the re-ranked result. Skipping rows below the floor changes
+    // nothing: Push would have rejected each of them.
+    uint32_t rows = q.ScanBlock(b, query, min_score, scores);
+    if (rows == 0) continue;
+    while (rows != 0) {
+      const int r = std::countr_zero(rows);
+      rows &= rows - 1;
+      const int32_t id = q.ItemAt(b, static_cast<size_t>(r));
+      if (std::binary_search(sorted_exclude.begin(), sorted_exclude.end(),
+                             id)) {
+        continue;
+      }
+      if ((q.nonfinite_rows(b) >> r) & 1u) {
+        scratch.forced.push_back(id);
+        continue;
+      }
+      pool.Push(id, q.ApproxScore(query, scores[r]));
     }
-    if (!nonfinite.empty() &&
-        std::binary_search(nonfinite.begin(), nonfinite.end(), id)) {
-      scratch.forced.push_back(id);
-      continue;
-    }
-    scratch.ids[filled] = id;
-    scratch.code_rows[filled] = q.Codes(static_cast<size_t>(id));
-    if (++filled == SearchScratch::kBlock) {
-      FlushSq8(q, query, scratch, filled, pool);
-      filled = 0;
-    }
+    // The floor only gates the next block's compare, so it is refreshed
+    // once per block with survivors, not once per Push.
+    min_score = floor_of();
   }
-  if (filled > 0) FlushSq8(q, query, scratch, filled, pool);
 }
 
 void ItemIndex::RerankPool(std::span<const float> query, size_t k,
@@ -197,7 +159,7 @@ void ItemIndex::RerankPool(std::span<const float> query, size_t k,
   scratch.rerank_scores.resize(count);
   for (size_t i = 0; i < count; ++i) {
     scratch.rerank_rows[i] =
-        factors_.items.Row(static_cast<size_t>(scratch.candidates[i].first));
+        factors_.Row(static_cast<size_t>(scratch.candidates[i].first));
   }
   // Full-precision rescore of the pool: per the export contract each
   // score is bitwise the model's Score(), so selecting the top-k of the
@@ -210,6 +172,16 @@ void ItemIndex::RerankPool(std::span<const float> query, size_t k,
     scratch.top.Push(scratch.candidates[i].first, scratch.rerank_scores[i]);
   }
   scratch.top.TakeSortedInto(*out);
+}
+
+BruteForceIndex::BruteForceIndex(ItemFactors factors, const ScanSpec& scan)
+    : ItemIndex(std::move(factors), scan) {
+  Quantize({});
+}
+
+BruteForceIndex::BruteForceIndex(ItemFactorView factors, const ScanSpec& scan)
+    : ItemIndex(factors, scan) {
+  Quantize({});
 }
 
 void BruteForceIndex::QueryInto(
@@ -231,7 +203,7 @@ void BruteForceIndex::QueryInto(
   quantized_->PrepareQuery(query, &scratch.query8);
   scratch.pool.Reset(scan_.PoolSize(k));
   scratch.forced.clear();
-  ScanRangeSq8(0, end, scratch.query8, sorted_exclude, scratch, scratch.pool);
+  ScanCellSq8(0, sorted_exclude, scratch);
   RerankPool(query, k, scratch, out);
 }
 
@@ -247,7 +219,7 @@ IvfIndex::IvfIndex(ItemFactors factors, const IvfConfig& config,
   }
   clusters = std::max<size_t>(1, std::min(clusters, n));
   const KMeansResult kmeans =
-      KMeansDeterministic(factors_.items, clusters, config_.kmeans_iters,
+      KMeansDeterministic(owned_.items, clusters, config_.kmeans_iters,
                           config_.seed, config_.num_threads);
   centroids_ = kmeans.centroids;
   lists_.assign(clusters, {});
@@ -257,6 +229,8 @@ IvfIndex::IvfIndex(ItemFactors factors, const IvfConfig& config,
   for (size_t i = 0; i < n; ++i) {
     lists_[kmeans.assignment[i]].push_back(static_cast<int32_t>(i));
   }
+  // The SQ8 codes follow the same cells, each a contiguous block run.
+  Quantize(lists_);
 }
 
 void IvfIndex::QueryInto(std::span<const float> query, size_t k,
@@ -296,8 +270,7 @@ void IvfIndex::QueryInto(std::span<const float> query, size_t k,
   scratch.pool.Reset(scan_.PoolSize(k));
   scratch.forced.clear();
   for (const auto& [cell, cell_score] : scratch.cell_order) {
-    ScanListSq8(lists_[cell], scratch.query8, sorted_exclude, scratch,
-                scratch.pool);
+    ScanCellSq8(static_cast<size_t>(cell), sorted_exclude, scratch);
   }
   RerankPool(query, k, scratch, out);
 }

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/status.h"
 #include "math/topk.h"
 #include "retrieval/factors.h"
 #include "retrieval/quantize.h"
@@ -43,6 +44,10 @@ struct ScanSpec {
   }
 };
 
+/// InvalidArgument when an index under `scan` cannot hold `dim`-dim
+/// factors: SQ8 scans at most kMaxSq8Dim dims.
+Status ValidateScan(const ScanSpec& scan, size_t dim);
+
 /// Caller-owned scratch for ItemIndex::QueryInto: the blocked-scan
 /// buffers, the streaming heaps, the prepared quantized query and the
 /// re-rank staging vectors. Reusing one instance across queries makes
@@ -51,16 +56,14 @@ struct ScanSpec {
 /// per thread, so Router recommend traffic stops paying a block-sized
 /// allocation per request.
 struct SearchScratch {
-  /// Items scored per batched-kernel call: large enough to amortize the
-  /// kernels' SIMD lanes, small enough that the block scratch stays L1.
+  /// Items scored per batched float-kernel call: large enough to amortize
+  /// the kernels' SIMD lanes, small enough that the block scratch stays
+  /// L1.
   static constexpr size_t kBlock = 256;
 
   const float* rows[kBlock];
-  const uint8_t* code_rows[kBlock];
   int32_t ids[kBlock];
   float scores[kBlock];
-  int32_t iscores[kBlock];
-  int32_t iscores_lo[kBlock];  // kDot low-weight pass (Sq8Query)
 
   BoundedTopK top{0};   // final selection
   BoundedTopK pool{0};  // SQ8 candidate pool
@@ -88,7 +91,11 @@ struct SearchScratch {
 /// number of threads may query one index concurrently.
 class ItemIndex {
  public:
+  /// Owns `factors`.
   ItemIndex(ItemFactors factors, const ScanSpec& scan);
+  /// Scans a table owned elsewhere, which must outlive the index
+  /// unmodified.
+  ItemIndex(ItemFactorView factors, const ScanSpec& scan);
   virtual ~ItemIndex() = default;
 
   ItemIndex(const ItemIndex&) = delete;
@@ -96,10 +103,10 @@ class ItemIndex {
 
   virtual std::string name() const = 0;
 
-  size_t num_items() const { return factors_.items.rows(); }
-  size_t dim() const { return factors_.items.cols(); }
+  size_t num_items() const { return factors_.rows; }
+  size_t dim() const { return factors_.dim; }
   ScoreKernel kernel() const { return factors_.kernel; }
-  const ItemFactors& factors() const { return factors_; }
+  const ItemFactorView& factors() const { return factors_; }
   const ScanSpec& scan() const { return scan_; }
   ScanPrecision precision() const { return scan_.precision; }
   /// The quantized factors backing the SQ8 scan; nullptr at kFloat32.
@@ -138,18 +145,21 @@ class ItemIndex {
                 std::span<const int32_t> sorted_exclude,
                 SearchScratch& scratch, BoundedTopK& top) const;
 
-  /// Quantized variants: stream u8 code rows through the integer batch
-  /// kernels and push the expanded approximate scores. Same exclusion
-  /// walks as the float scans. Items listed in quantized()->
-  /// nonfinite_items() skip the pool and land in scratch.forced — their
+  /// The SQ8 scan of quantized() cell `cell` into scratch.pool, against
+  /// scratch.query8: one integer block kernel call per 32 rows, which
+  /// also compares every row with the pool's integer score floor
+  /// (QuantizedItemFactors::ScoreFloor) and drops the rows Push would
+  /// reject. Only the surviving rows pay for the exclusion check, the
+  /// float expansion and the Push. Non-finite rows always survive the
+  /// block compare and, unless excluded, land in scratch.forced — their
   /// true scores can be ±inf/NaN, which no finite code-space score can
   /// place correctly, so they are always re-ranked exactly.
-  void ScanRangeSq8(int32_t begin, int32_t end, const Sq8Query& query,
-                    std::span<const int32_t> sorted_exclude,
-                    SearchScratch& scratch, BoundedTopK& pool) const;
-  void ScanListSq8(std::span<const int32_t> ids, const Sq8Query& query,
-                   std::span<const int32_t> sorted_exclude,
-                   SearchScratch& scratch, BoundedTopK& pool) const;
+  /// At ScanPrecision::kSq8, encodes quantized_ with `cells` as its
+  /// cell layout (QuantizedItemFactors::Encode); a no-op at kFloat32.
+  void Quantize(std::span<const std::vector<int32_t>> cells);
+
+  void ScanCellSq8(size_t cell, std::span<const int32_t> sorted_exclude,
+                   SearchScratch& scratch) const;
 
   /// Drains scratch.pool plus scratch.forced, rescores every candidate
   /// with the float32 kernel (bitwise the model's Score via the export
@@ -161,7 +171,8 @@ class ItemIndex {
                   SearchScratch& scratch,
                   std::vector<std::pair<int32_t, float>>* out) const;
 
-  ItemFactors factors_;
+  ItemFactors owned_;       // empty when the table is borrowed
+  ItemFactorView factors_;  // the scanned table: owned_'s, or borrowed
   ScanSpec scan_;
   std::optional<QuantizedItemFactors> quantized_;
 };
@@ -175,8 +186,9 @@ class ItemIndex {
 /// quantized codes instead and the re-rank restores that same order.
 class BruteForceIndex : public ItemIndex {
  public:
-  explicit BruteForceIndex(ItemFactors factors, const ScanSpec& scan = {})
-      : ItemIndex(std::move(factors), scan) {}
+  explicit BruteForceIndex(ItemFactors factors, const ScanSpec& scan = {});
+  /// Borrows `factors` (see ItemIndex).
+  explicit BruteForceIndex(ItemFactorView factors, const ScanSpec& scan = {});
 
   std::string name() const override { return "brute-force"; }
 

@@ -27,6 +27,7 @@ Status TwoStageRetriever::Create(
         "two-stage: candidate model '" + candidate_model->name() +
         "' exported an empty item matrix (not fitted?)");
   }
+  KGREC_RETURN_IF_ERROR(ValidateScan(config.scan, exported.items.cols()));
   auto index = std::make_unique<const BruteForceIndex>(std::move(exported),
                                                        config.scan);
   out->reset(new TwoStageRetriever(std::move(candidate_model), factors,

@@ -53,6 +53,8 @@ class TwoStageRetriever {
       std::span<const int32_t> sorted_exclude = {}) const;
 
   const ItemIndex& index() const { return *index_; }
+  /// Users stage 1 can serve: the candidate model's factor_users().
+  size_t num_users() const { return factors_->factor_users(); }
   const TwoStageConfig& config() const { return config_; }
 
  private:

@@ -34,8 +34,17 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
             "RetrievalSpec::kExact: model '" + model_name_ +
             "' does not export DotProductFactors");
       }
-      index_ = std::make_unique<retrieval::BruteForceIndex>(
-          factors_->ExportItemFactors(), spec.scan);
+      KGREC_RETURN_IF_ERROR(
+          retrieval::ValidateScan(spec.scan, factors_->factor_dim()));
+      // The handle owns the model and drops the index first, so the index
+      // may scan the model's own item table instead of a copy of it.
+      const retrieval::ItemFactorView table = factors_->BorrowItemFactors();
+      if (table.data != nullptr) {
+        index_ = std::make_unique<retrieval::BruteForceIndex>(table, spec.scan);
+      } else {
+        index_ = std::make_unique<retrieval::BruteForceIndex>(
+            factors_->ExportItemFactors(), spec.scan);
+      }
       retrieval_mode_ = sq8 ? "exact-index+sq8" : "exact-index";
       return Status::OK();
     }
@@ -45,6 +54,8 @@ Status ServeHandle::BuildRetrieval(const RetrievalSpec& spec) {
             "RetrievalSpec::kIvf: model '" + model_name_ +
             "' does not export DotProductFactors");
       }
+      KGREC_RETURN_IF_ERROR(
+          retrieval::ValidateScan(spec.scan, factors_->factor_dim()));
       index_ = std::make_unique<retrieval::IvfIndex>(
           factors_->ExportItemFactors(), spec.ivf, spec.scan);
       retrieval_mode_ = sq8 ? "ivf-index+sq8" : "ivf-index";
@@ -99,6 +110,16 @@ Status ServeHandle::Adopt(std::unique_ptr<const Recommender> model,
     return Status::FailedPrecondition(
         "RetrievalSpec: the index holds " + std::to_string(index->num_items()) +
         " items, the served catalog " + std::to_string(handle->num_items_));
+  }
+  // Stage 1 reads each served user's query from the candidate model, so
+  // its user table must cover the served range.
+  const retrieval::TwoStageRetriever* two_stage = handle->two_stage_.get();
+  if (two_stage != nullptr &&
+      two_stage->num_users() < static_cast<size_t>(handle->num_users_)) {
+    return Status::FailedPrecondition(
+        "RetrievalSpec::kTwoStage: the candidate model covers " +
+        std::to_string(two_stage->num_users()) + " users, the served range " +
+        std::to_string(handle->num_users_));
   }
   *out = std::move(handle);
   return Status::OK();

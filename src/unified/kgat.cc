@@ -238,6 +238,17 @@ retrieval::ItemFactors KgatRecommender::ExportItemFactors() const {
   return factors;
 }
 
+retrieval::ItemFactorView KgatRecommender::BorrowItemFactors() const {
+  // Item entities are the contiguous rows after the users'.
+  if (graph_ == nullptr) return {};
+  return {factor_kernel(), final_emb_.Row(graph_->ItemEntity(0)),
+          static_cast<size_t>(graph_->num_items), final_emb_.cols()};
+}
+
+size_t KgatRecommender::factor_users() const {
+  return graph_ != nullptr ? static_cast<size_t>(graph_->num_users) : 0;
+}
+
 void KgatRecommender::FillUserQuery(int32_t user, std::span<float> out) const {
   KGREC_CHECK_EQ(out.size(), final_emb_.cols());
   std::copy_n(final_emb_.Row(graph_->UserEntity(user)), final_emb_.cols(),

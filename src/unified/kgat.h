@@ -63,7 +63,9 @@ class KgatRecommender : public Recommender, public DotProductFactors {
     return retrieval::ScoreKernel::kDot;
   }
   retrieval::ItemFactors ExportItemFactors() const override;
+  retrieval::ItemFactorView BorrowItemFactors() const override;
   void FillUserQuery(int32_t user, std::span<float> out) const override;
+  size_t factor_users() const override;
 
  protected:
   /// Serving only reads the final concatenated embeddings (the training

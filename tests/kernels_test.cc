@@ -336,9 +336,25 @@ TEST(Kernels, BackingStoresAre64ByteAligned) {
 }
 
 // ---------------------------------------------------------------------
-// Int8 kernels (the SQ8 scan layer): dispatched vs reference equality is
-// *exact* — integer accumulation, not a block-order contract — so any
-// mismatch is an outright bug, including at the extreme byte values.
+// Int8 block kernels (the SQ8 scan layer): dispatched vs reference
+// equality is *exact* — integer accumulation, not a block-order contract
+// — so any mismatch is an outright bug, including at the extreme values.
+// Both are also checked against a longhand loop over row-major codes,
+// which pins the [dim pair][row][2] block layout itself.
+
+constexpr size_t kRows = kernels::kI8BlockRows;
+
+/// Row-major codes [kRows, 2 * pairs] -> one interleaved block.
+std::vector<uint8_t> ToBlock(const std::vector<uint8_t>& row_major,
+                             size_t pairs) {
+  std::vector<uint8_t> block(pairs * 2 * kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t d = 0; d < 2 * pairs; ++d) {
+      block[((d / 2) * kRows + r) * 2 + d % 2] = row_major[r * 2 * pairs + d];
+    }
+  }
+  return block;
+}
 
 std::vector<uint8_t> RandomCodes(size_t n, Rng& rng) {
   std::vector<uint8_t> v(n);
@@ -346,120 +362,212 @@ std::vector<uint8_t> RandomCodes(size_t n, Rng& rng) {
   return v;
 }
 
-std::vector<int8_t> RandomWeights(size_t n, Rng& rng) {
-  std::vector<int8_t> v(n);
-  for (int8_t& x : v) {
-    x = static_cast<int8_t>(static_cast<int>(rng.UniformInt(256)) - 128);
+/// Weights in [-16256, 16256], the range PrepareQuery emits.
+std::vector<int16_t> RandomWeights(size_t n, Rng& rng) {
+  std::vector<int16_t> v(n);
+  for (int16_t& x : v) {
+    x = static_cast<int16_t>(static_cast<int>(rng.UniformInt(32513)) - 16256);
   }
   return v;
 }
 
-TEST(Kernels, DotI8MatchesRefAllLengths) {
+std::vector<int16_t> RandomQueryCodes(size_t n, Rng& rng) {
+  std::vector<int16_t> v(n);
+  for (int16_t& x : v) x = static_cast<int16_t>(rng.UniformInt(256));
+  return v;
+}
+
+/// Checks one block both ways against the longhand scores, at a
+/// threshold that splits the rows, below every row and above every row.
+void ExpectBlockKernelsMatch(const std::vector<uint8_t>& row_major,
+                             const std::vector<int16_t>& operand, size_t pairs,
+                             bool dot, const std::string& what) {
+  const std::vector<uint8_t> block = ToBlock(row_major, pairs);
+  int32_t longhand[kRows];
+  for (size_t r = 0; r < kRows; ++r) {
+    int64_t acc = 0;
+    for (size_t d = 0; d < 2 * pairs; ++d) {
+      const int64_t c = row_major[r * 2 * pairs + d];
+      acc += dot ? operand[d] * c : -(c - operand[d]) * (c - operand[d]);
+    }
+    longhand[r] = static_cast<int32_t>(acc);
+  }
+  const auto run = [&](bool simd, int32_t min_score, int32_t* scores) {
+    if (dot) {
+      return simd ? kernels::DotBlockI8(operand.data(), block.data(), pairs,
+                                        min_score, scores)
+                  : kernels::ref::DotBlockI8(operand.data(), block.data(),
+                                             pairs, min_score, scores);
+    }
+    return simd ? kernels::NegSquaredDistanceBlockI8(
+                      operand.data(), block.data(), pairs, min_score, scores)
+                : kernels::ref::NegSquaredDistanceBlockI8(
+                      operand.data(), block.data(), pairs, min_score, scores);
+  };
+  for (const int32_t min_score :
+       {std::numeric_limits<int32_t>::min(), longhand[7],
+        std::numeric_limits<int32_t>::max()}) {
+    uint32_t want = 0;
+    for (size_t r = 0; r < kRows; ++r) {
+      if (longhand[r] >= min_score) want |= uint32_t{1} << r;
+    }
+    for (const bool simd : {true, false}) {
+      int32_t scores[kRows];
+      EXPECT_EQ(run(simd, min_score, scores), want)
+          << what << (simd ? " dispatched" : " ref") << " min " << min_score;
+      for (size_t r = 0; r < kRows; ++r) {
+        EXPECT_EQ(scores[r], longhand[r])
+            << what << (simd ? " dispatched" : " ref") << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(Kernels, BlockI8KernelsMatchRefAllPairCounts) {
   Rng rng(41);
-  for (size_t n = 0; n <= kMaxLen; ++n) {
-    const std::vector<uint8_t> codes = RandomCodes(n, rng);
-    const std::vector<int8_t> weights = RandomWeights(n, rng);
-    EXPECT_EQ(kernels::DotI8(weights.data(), codes.data(), n),
-              kernels::ref::DotI8(weights.data(), codes.data(), n))
-        << "n=" << n;
+  for (size_t pairs = 0; pairs <= 20; ++pairs) {
+    const std::vector<uint8_t> codes = RandomCodes(kRows * 2 * pairs, rng);
+    ExpectBlockKernelsMatch(codes, RandomWeights(2 * pairs, rng), pairs,
+                            /*dot=*/true, "dot pairs=" + std::to_string(pairs));
+    ExpectBlockKernelsMatch(codes, RandomQueryCodes(2 * pairs, rng), pairs,
+                            /*dot=*/false,
+                            "l2 pairs=" + std::to_string(pairs));
   }
 }
 
-TEST(Kernels, SquaredDistanceI8MatchesRefAllLengths) {
-  Rng rng(42);
-  for (size_t n = 0; n <= kMaxLen; ++n) {
-    const std::vector<uint8_t> a = RandomCodes(n, rng);
-    const std::vector<uint8_t> b = RandomCodes(n, rng);
-    EXPECT_EQ(kernels::SquaredDistanceI8(a.data(), b.data(), n),
-              kernels::ref::SquaredDistanceI8(a.data(), b.data(), n))
-        << "n=" << n;
-  }
+TEST(Kernels, BlockI8GoldenValues) {
+  // Row 0 holds (0, 1, 255, 128), every other row (7, 7, 7, 7).
+  std::vector<uint8_t> row_major(kRows * 4, 7);
+  const uint8_t row0[4] = {0, 1, 255, 128};
+  std::memcpy(row_major.data(), row0, 4);
+  const std::vector<uint8_t> block = ToBlock(row_major, 2);
+  const int16_t weights[4] = {-16256, 16256, -1, 64};
+  int32_t scores[kRows];
+  const uint32_t kept = kernels::DotBlockI8(weights, block.data(), 2,
+                                            /*min_score=*/0, scores);
+  EXPECT_EQ(scores[0], -16256 * 0 + 16256 * 1 + (-1) * 255 + 64 * 128);
+  EXPECT_EQ(scores[1], 7 * (-16256 + 16256 - 1 + 64));
+  EXPECT_EQ(kept, 0xFFFFFFFFu);  // every score is positive
+
+  const int16_t query[4] = {255, 0, 100, 128};
+  kernels::NegSquaredDistanceBlockI8(query, block.data(), 2, 0, scores);
+  EXPECT_EQ(scores[0], -(255 * 255 + 1 + 155 * 155 + 0));
 }
 
-TEST(Kernels, I8GoldenValuesAndExtremes) {
-  // Longhand golden case.
-  const uint8_t codes[5] = {0, 1, 255, 128, 7};
-  const int8_t weights[5] = {-128, 127, -1, 64, 0};
-  EXPECT_EQ(kernels::DotI8(weights, codes, 5),
-            -128 * 0 + 127 * 1 + (-1) * 255 + 64 * 128 + 0 * 7);
-  const uint8_t a[3] = {0, 255, 100};
-  const uint8_t b[3] = {255, 0, 90};
-  EXPECT_EQ(kernels::SquaredDistanceI8(a, b, 3), 255 * 255 + 255 * 255 + 100);
-
-  // Saturation trap: every element at the worst-case magnitude across
-  // multiple SIMD blocks. maddubs-style i16 pair saturation would cap
-  // these sums; exact widening must not.
-  constexpr size_t n = 64;
-  std::vector<uint8_t> cmax(n, 255);
-  std::vector<int8_t> wmin(n, -128);
-  EXPECT_EQ(kernels::DotI8(wmin.data(), cmax.data(), n),
-            static_cast<int32_t>(n) * (-128 * 255));
-  EXPECT_EQ(kernels::ref::DotI8(wmin.data(), cmax.data(), n),
-            static_cast<int32_t>(n) * (-128 * 255));
-  std::vector<uint8_t> zeros(n, 0);
-  EXPECT_EQ(kernels::SquaredDistanceI8(cmax.data(), zeros.data(), n),
-            static_cast<int32_t>(n) * (255 * 255));
+TEST(Kernels, BlockI8SumsStayExactAtTheDimCap) {
+  // Every product at its worst-case magnitude over 256 pairs (512 dims,
+  // retrieval::kMaxSq8Dim): the int32 dot sums reach
+  // 512 * 16256 * 255 = 2122383360 < 2^31 without wrapping, and the i16
+  // pair sums inside madd never saturate.
+  constexpr size_t pairs = 256;
+  const std::vector<uint8_t> cmax(kRows * 2 * pairs, 255);
+  ExpectBlockKernelsMatch(cmax, std::vector<int16_t>(2 * pairs, 16256), pairs,
+                          /*dot=*/true, "dot max");
+  ExpectBlockKernelsMatch(cmax, std::vector<int16_t>(2 * pairs, -16256),
+                          pairs, /*dot=*/true, "dot min");
+  ExpectBlockKernelsMatch(cmax, std::vector<int16_t>(2 * pairs, 0), pairs,
+                          /*dot=*/false, "l2 max");
+  int32_t scores[kRows];
+  const std::vector<int16_t> wmin(2 * pairs, -16256);
+  kernels::DotBlockI8(wmin.data(), ToBlock(cmax, pairs).data(), pairs, 0,
+                      scores);
+  EXPECT_EQ(scores[0], -2122383360);
 }
 
-TEST(Kernels, I8BatchFormsMatchSingleForms) {
-  Rng rng(43);
-  constexpr size_t n = 33;
-  constexpr size_t count = 9;  // exercises any internal 4-wide grouping
-  std::vector<std::vector<uint8_t>> storage;
-  std::vector<const uint8_t*> rows;
-  for (size_t q = 0; q < count; ++q) {
-    storage.push_back(RandomCodes(n, rng));
-    rows.push_back(storage.back().data());
-  }
-  const std::vector<int8_t> weights = RandomWeights(n, rng);
-  const std::vector<uint8_t> query = RandomCodes(n, rng);
+// ---------------------------------------------------------------------
+// SQ8 encoding kernels: the dispatched float-estimate path must equal the
+// exact double reference code for code, above all next to the rounding
+// boundaries where it falls back.
 
-  int32_t out[count], ref_out[count];
-  kernels::DotBatchI8(weights.data(), rows.data(), count, n, out);
-  kernels::ref::DotBatchI8(weights.data(), rows.data(), count, n, ref_out);
-  for (size_t q = 0; q < count; ++q) {
-    EXPECT_EQ(out[q], kernels::DotI8(weights.data(), rows[q], n)) << q;
-    EXPECT_EQ(out[q], ref_out[q]) << q;
-  }
-  kernels::SquaredDistanceBatchI8(query.data(), rows.data(), count, n, out);
-  kernels::ref::SquaredDistanceBatchI8(query.data(), rows.data(), count, n,
-                                       ref_out);
-  for (size_t q = 0; q < count; ++q) {
-    EXPECT_EQ(out[q], kernels::SquaredDistanceI8(query.data(), rows[q], n))
-        << q;
-    EXPECT_EQ(out[q], ref_out[q]) << q;
-  }
-}
-
-TEST(Kernels, DotDualBatchI8MatchesTwoSinglePasses) {
-  Rng rng(44);
-  // Lengths straddle the 16-wide SIMD step; counts straddle the 4-row
-  // blocking (remainder rows 0..3) so every code path is hit.
-  for (const size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
-                         size_t{17}, size_t{33}, size_t{64}}) {
-    for (const size_t count :
-         {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{9}}) {
-      std::vector<std::vector<uint8_t>> storage;
-      std::vector<const uint8_t*> rows;
-      for (size_t q = 0; q < count; ++q) {
-        storage.push_back(RandomCodes(n, rng));
-        rows.push_back(storage.back().data());
+TEST(Kernels, EncodeRowU8MatchesRefIncludingBoundaries) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(45);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
+                   size_t{16}, size_t{33}}) {
+    std::vector<float> vmin(n), delta(n), inv(n);
+    for (size_t d = 0; d < n; ++d) {
+      vmin[d] = static_cast<float>(rng.Normal());
+      // Column 1 is flat (zero step), column 2 a subnormal step.
+      delta[d] = d == 1 ? 0.0f
+                 : d == 2 ? 1e-40f
+                          : static_cast<float>(0.001 + rng.Uniform());
+      inv[d] = 1.0f / delta[d];
+    }
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<float> x(n);
+      for (size_t d = 0; d < n; ++d) {
+        const int kind = static_cast<int>(rng.UniformInt(8));
+        // Exact half-steps and their float neighbours, plain values,
+        // out-of-grid values and the non-finite ones.
+        const double half = static_cast<double>(rng.UniformInt(256)) + 0.5;
+        const float on_half = static_cast<float>(vmin[d] + half * delta[d]);
+        x[d] = kind == 0   ? on_half
+               : kind == 1 ? std::nextafter(on_half, kInf)
+               : kind == 2 ? std::nextafter(on_half, -kInf)
+               : kind == 3 ? vmin[d] + static_cast<float>(rng.Uniform() *
+                                                          300.0 - 20.0) *
+                                           delta[d]
+               : kind == 4 ? static_cast<float>(rng.Normal() * 1e6)
+               : kind == 5 ? kNan
+               : kind == 6 ? (rng.UniformInt(2) != 0 ? kInf : -kInf)
+                           : vmin[d];
       }
-      const std::vector<int8_t> w_hi = RandomWeights(n, rng);
-      const std::vector<int8_t> w_lo = RandomWeights(n, rng);
-      std::vector<int32_t> hi(count), lo(count), ref_hi(count), ref_lo(count);
-      kernels::DotDualBatchI8(w_hi.data(), w_lo.data(), rows.data(), count, n,
-                              hi.data(), lo.data());
-      kernels::ref::DotDualBatchI8(w_hi.data(), w_lo.data(), rows.data(),
-                                   count, n, ref_hi.data(), ref_lo.data());
-      for (size_t q = 0; q < count; ++q) {
-        EXPECT_EQ(hi[q], kernels::DotI8(w_hi.data(), rows[q], n))
-            << "n=" << n << " q=" << q;
-        EXPECT_EQ(lo[q], kernels::DotI8(w_lo.data(), rows[q], n))
-            << "n=" << n << " q=" << q;
-        EXPECT_EQ(hi[q], ref_hi[q]) << "n=" << n << " q=" << q;
-        EXPECT_EQ(lo[q], ref_lo[q]) << "n=" << n << " q=" << q;
-      }
+      constexpr size_t kStride = 5;
+      std::vector<uint8_t> got(kStride * (n / 2 + 1), 0);
+      std::vector<uint8_t> want(got.size(), 0);
+      const bool got_finite = kernels::EncodeRowU8(
+          x.data(), vmin.data(), delta.data(), inv.data(), n, kStride,
+          got.data());
+      const bool want_finite = kernels::ref::EncodeRowU8(
+          x.data(), vmin.data(), delta.data(), inv.data(), n, kStride,
+          want.data());
+      ASSERT_EQ(got, want) << "n=" << n << " trial " << trial;
+      bool finite = true;
+      for (float v : x) finite &= std::isfinite(v);
+      ASSERT_EQ(got_finite, finite) << "n=" << n << " trial " << trial;
+      ASSERT_EQ(want_finite, finite) << "n=" << n << " trial " << trial;
+    }
+  }
+  // Goldens: ties to even on both sides, the clamp, the non-finite policy
+  // and the zero step.
+  const float vmin[8] = {0, 0, 0, 0, 0, 0, 0, 5};
+  const float delta[8] = {1, 1, 1, 1, 1, 1, 1, 0};
+  float inv[8];
+  for (int d = 0; d < 8; ++d) inv[d] = 1.0f / delta[d];
+  const float x[8] = {2.5f, 3.5f, -7.0f, 300.0f, kNan, kInf, -kInf, 9.0f};
+  uint8_t out[8];
+  EXPECT_FALSE(
+      kernels::EncodeRowU8(x, vmin, delta, inv, 8, /*pair_stride=*/2, out));
+  const uint8_t expected[8] = {2, 4, 0, 255, 0, 255, 0, 0};
+  for (int d = 0; d < 8; ++d) EXPECT_EQ(out[d], expected[d]) << d;
+  EXPECT_TRUE(
+      kernels::EncodeRowU8(x, vmin, delta, inv, 4, /*pair_stride=*/2, out));
+}
+
+TEST(Kernels, FiniteColumnRangeMatchesRef) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(46);
+  for (size_t n : {size_t{1}, size_t{4}, size_t{6}, size_t{17}}) {
+    const size_t rows = 50;
+    std::vector<float> x(rows * n);
+    for (float& v : x) {
+      const int kind = static_cast<int>(rng.UniformInt(10));
+      v = kind == 0   ? kNan
+          : kind == 1 ? kInf
+          : kind == 2 ? -kInf
+          : kind == 3 ? (rng.UniformInt(2) != 0 ? 0.0f : -0.0f)
+                      : static_cast<float>(rng.Normal());
+    }
+    std::vector<float> lo(n, kInf), hi(n, -kInf), ref_lo(lo), ref_hi(hi);
+    kernels::FiniteColumnRange(x.data(), rows, n, lo.data(), hi.data());
+    kernels::ref::FiniteColumnRange(x.data(), rows, n, ref_lo.data(),
+                                    ref_hi.data());
+    for (size_t d = 0; d < n; ++d) {
+      EXPECT_BITEQ(lo[d], ref_lo[d]);
+      EXPECT_BITEQ(hi[d], ref_hi[d]);
+      EXPECT_TRUE(std::isfinite(lo[d]) && std::isfinite(hi[d])) << d;
     }
   }
 }

@@ -27,6 +27,25 @@ TEST(TensorApi, ZerosScalarFromData) {
   EXPECT_FALSE(undefined.defined());
 }
 
+TEST(TensorApi, FromAlignedAdoptsTheBufferAndDefersTheGradient) {
+  AlignedVector<float> values{1.0f, 2.0f, 3.0f, 4.0f};
+  const float* buffer = values.data();
+  Tensor w = Tensor::FromAligned(2, 2, std::move(values),
+                                 /*requires_grad=*/true);
+  EXPECT_EQ(w.data(), buffer);
+  EXPECT_TRUE(w.node()->grad.empty());
+  // First use allocates it zero-filled; training then runs as usual.
+  for (size_t i = 0; i < w.size(); ++i) EXPECT_FLOAT_EQ(w.grad()[i], 0.0f);
+  Tensor fresh = Tensor::FromAligned(2, 2, AlignedVector<float>(4, 1.0f),
+                                     /*requires_grad=*/true);
+  Sgd opt({fresh}, 0.5f);
+  Backward(Sum(Square(fresh)));
+  opt.Step();
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_FLOAT_EQ(fresh.data()[i], 0.0f);  // 1 - 0.5 * 2
+  }
+}
+
 TEST(ForwardValues, ElementwiseAndMatMul) {
   Tensor a = Tensor::FromData(2, 2, {1, 2, 3, 4});
   Tensor b = Tensor::FromData(2, 2, {5, 6, 7, 8});

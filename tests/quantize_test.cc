@@ -6,15 +6,18 @@
 //    entries, dim 0 and 1, a catalog of one item.
 //  * The documented Encode→DecodeRow reconstruction-error bound, per
 //    entry, for every factorizable registry model's export.
-//  * PrepareQuery: the kDot hi/lo affine decomposition
-//    (bias + scale · (128·DotI8(hi) + DotI8(lo))) against its analytic
-//    error bound, the kNegSquaredL2 grid encoding (shared delta), and
-//    the non-finite query policy.
+//  * PrepareQuery: the kDot affine decomposition
+//    (bias + scale · Σ W[d]·c[d], 15-bit W) against its analytic error
+//    bound, the kNegSquaredL2 grid encoding (shared delta), and the
+//    non-finite query policy.
+//  * The block layout: cells, padding rows and dims, the slot maps, and
+//    the pool score floor the block scan rejects rows against.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -55,6 +58,23 @@ ItemFactors RandomFactors(ScoreKernel kernel, size_t n, size_t dim,
     factors.items.data()[i] = static_cast<float>(rng.Normal());
   }
   return factors;
+}
+
+/// Integer scan score of every item, through the block scan itself
+/// (ScanBlock with no floor), indexed by item id.
+std::vector<int32_t> ScanScores(const QuantizedItemFactors& q,
+                                const Sq8Query& prepared) {
+  std::vector<int32_t> out(q.num_items(), 0);
+  int32_t scores[QuantizedItemFactors::kBlockRows];
+  for (size_t b = 0; b < q.cell_begin(q.num_cells()); ++b) {
+    const uint32_t rows = q.ScanBlock(
+        b, prepared, std::numeric_limits<int32_t>::min(), scores);
+    EXPECT_EQ(rows, q.live_rows(b)) << "block " << b;
+    for (size_t r = 0; r < QuantizedItemFactors::kBlockRows; ++r) {
+      if ((q.live_rows(b) >> r) & 1u) out[q.ItemAt(b, r)] = scores[r];
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -138,9 +158,9 @@ TEST(QuantizeEncode, NonFiniteEntriesFollowTheDocumentedPolicy) {
   EXPECT_FLOAT_EQ(q.grid_delta()[0], 4.0f / 255.0f);
   EXPECT_EQ(q.grid_min()[1], 0.0f);
   // NaN and -inf map to code 0, +inf to code 255.
-  EXPECT_EQ(q.Codes(1)[0], 0);
-  EXPECT_EQ(q.Codes(2)[0], 255);
-  EXPECT_EQ(q.Codes(2)[1], 0);
+  EXPECT_EQ(q.Code(1, 0), 0);
+  EXPECT_EQ(q.Code(2, 0), 255);
+  EXPECT_EQ(q.Code(2, 1), 0);
   // Decodes are always finite (the re-rank sees the true values).
   std::vector<float> decoded(2);
   for (size_t i = 0; i < 4; ++i) {
@@ -176,19 +196,16 @@ TEST(QuantizeEncode, L2GridSharesOneDeltaAcrossDimensions) {
   EXPECT_FLOAT_EQ(qdot.grid_delta()[1], 20.0f / 255.0f);
 }
 
-TEST(QuantizeEncode, NonfiniteRowsAreRecordedAscending) {
+TEST(QuantizeEncode, NonfiniteRowsAreRecorded) {
   ItemFactors factors = RandomFactors(ScoreKernel::kDot, 6, 3, 41);
   factors.items.At(1, 2) = kNan;
   factors.items.At(4, 0) = kInf;
   factors.items.At(4, 1) = -kInf;
   const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
-  const auto nonfinite = q.nonfinite_items();
-  ASSERT_EQ(nonfinite.size(), 2u);
-  EXPECT_EQ(nonfinite[0], 1);
-  EXPECT_EQ(nonfinite[1], 4);
+  EXPECT_EQ(q.nonfinite_rows(0), (1u << 1) | (1u << 4));
   const QuantizedItemFactors clean =
       QuantizedItemFactors::Encode(RandomFactors(ScoreKernel::kDot, 6, 3, 42));
-  EXPECT_TRUE(clean.nonfinite_items().empty());
+  EXPECT_EQ(clean.nonfinite_rows(0), 0u);
 }
 
 TEST(QuantizeEncode, AllNonFiniteColumnDegradesToZeroGrid) {
@@ -198,8 +215,8 @@ TEST(QuantizeEncode, AllNonFiniteColumnDegradesToZeroGrid) {
   const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
   EXPECT_EQ(q.grid_min()[0], 0.0f);
   EXPECT_EQ(q.grid_delta()[0], 0.0f);
-  EXPECT_EQ(q.Codes(0)[0], 0);
-  EXPECT_EQ(q.Codes(1)[0], 255);
+  EXPECT_EQ(q.Code(0, 0), 0);
+  EXPECT_EQ(q.Code(1, 0), 255);
 }
 
 TEST(QuantizeEncode, DegenerateShapes) {
@@ -213,7 +230,6 @@ TEST(QuantizeEncode, DegenerateShapes) {
     Sq8Query query;
     q.PrepareQuery({}, &query);
     EXPECT_EQ(query.weights.size(), 0u);
-    EXPECT_EQ(query.weights_lo.size(), 0u);
     EXPECT_EQ(query.scale, 0.0f);
     EXPECT_EQ(query.bias, 0.0f);
   }
@@ -224,8 +240,8 @@ TEST(QuantizeEncode, DegenerateShapes) {
     factors.items.At(1, 0) = 0.0f;
     factors.items.At(2, 0) = 2.0f;
     const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
-    EXPECT_EQ(q.Codes(0)[0], 0);
-    EXPECT_EQ(q.Codes(2)[0], 255);
+    EXPECT_EQ(q.Code(0, 0), 0);
+    EXPECT_EQ(q.Code(2, 0), 255);
     std::vector<float> decoded(1);
     q.DecodeRow(1, decoded);
     EXPECT_NEAR(decoded[0], 0.0f, 4.0f / 255.0f / 2.0f + 1e-5f);
@@ -302,6 +318,8 @@ TEST(QuantizeBound, HoldsForEveryFactorizableModelExport) {
     model->Fit(ctx);
     const DotProductFactors* factors = AsFactorizable(*model);
     ASSERT_NE(factors, nullptr) << name;
+    // The int32 block sums are exact only up to kMaxSq8Dim dims.
+    EXPECT_LE(factors->factor_dim(), retrieval::kMaxSq8Dim) << name;
     ExpectReconstructionBound(factors->ExportItemFactors(), name);
   }
 }
@@ -320,17 +338,13 @@ TEST(QuantizeQuery, DotApproximationStaysWithinItsAnalyticBound) {
     for (float& v : query) v = static_cast<float>(rng.Normal());
     q.PrepareQuery(query, &prepared);
     ASSERT_EQ(prepared.weights.size(), 16u);
-    ASSERT_EQ(prepared.weights_lo.size(), 16u);
+    const std::vector<int32_t> idot = ScanScores(q, prepared);
     for (size_t i = 0; i < q.num_items(); ++i) {
-      const int64_t idot =
-          128 * static_cast<int64_t>(
-                    kernels::DotI8(prepared.weights.data(), q.Codes(i), 16)) +
-          kernels::DotI8(prepared.weights_lo.data(), q.Codes(i), 16);
-      const float approx = q.ApproxScore(prepared, idot);
+      const float approx = q.ApproxScore(prepared, idot[i]);
       // Against the *decoded* row the only approximation left is the
-      // 15-bit weight rounding: per dim |w - scale*(128*hi+lo)| <=
-      // scale/2, each scaled by a code <= 255 — plus float-arithmetic
-      // slack on the expansion.
+      // 15-bit weight rounding: per dim |w - scale*W| <= scale/2, each
+      // scaled by a code <= 255 — plus float-arithmetic slack on the
+      // expansion.
       q.DecodeRow(i, decoded);
       const float exact = kernels::Dot(query.data(), decoded.data(), 16);
       const float bound =
@@ -342,11 +356,11 @@ TEST(QuantizeQuery, DotApproximationStaysWithinItsAnalyticBound) {
   }
 }
 
-TEST(QuantizeQuery, HiLoSplitReassemblesTheFifteenBitWeight) {
+TEST(QuantizeQuery, FifteenBitWeightsKeepEveryDimension) {
   // One dimension with a huge delta (an outlier-stretched column) next
   // to ordinary ones: a single i8 weight vector would collapse to
-  // one-hot here. The hi/lo split must keep every |w[d]| >= max|w|/32512
-  // at a nonzero combined weight.
+  // one-hot here. The 15-bit weights must keep every
+  // |w[d]| >= max|w|/32512 at a nonzero integer weight.
   ItemFactors factors = MakeFactors(ScoreKernel::kDot, 2, 4);
   factors.items.At(0, 0) = 0.0f;
   factors.items.At(1, 0) = 1000.0f;  // delta[0] ~ 3.92
@@ -359,24 +373,20 @@ TEST(QuantizeQuery, HiLoSplitReassemblesTheFifteenBitWeight) {
   Sq8Query prepared;
   q.PrepareQuery(query, &prepared);
   for (size_t d = 0; d < 4; ++d) {
-    const int64_t combined = 128 * static_cast<int64_t>(prepared.weights[d]) +
-                             prepared.weights_lo[d];
-    EXPECT_NE(combined, 0) << d;
-    // The reassembled integer weight is the round-half-even image of
-    // w[d]/scale, so it stays within half a unit of it.
+    const int32_t weight = prepared.weights[d];
+    EXPECT_NE(weight, 0) << d;
+    // The integer weight is the round-half-even image of w[d]/scale, so
+    // it stays within half a unit of it.
     const double w = static_cast<double>(query[d]) * q.grid_delta()[d];
-    EXPECT_LE(std::fabs(static_cast<double>(combined) -
+    EXPECT_LE(std::fabs(static_cast<double>(weight) -
                         w / static_cast<double>(prepared.scale)),
               0.5 + 1e-6)
         << d;
-    EXPECT_GE(prepared.weights[d], -127);
-    EXPECT_LE(prepared.weights[d], 127);
-    EXPECT_GE(prepared.weights_lo[d], -64);
-    EXPECT_LE(prepared.weights_lo[d], 63);
+    EXPECT_GE(weight, -16256);
+    EXPECT_LE(weight, 16256);
   }
-  // The anchor dimension maps to exactly 16256 = 127 * 128.
-  EXPECT_EQ(prepared.weights[0], 127);
-  EXPECT_EQ(prepared.weights_lo[0], 0);
+  // The anchor dimension maps to exactly 16256.
+  EXPECT_EQ(prepared.weights[0], 16256);
 }
 
 TEST(QuantizeQuery, L2QueryLandsOnTheItemGrid) {
@@ -390,9 +400,10 @@ TEST(QuantizeQuery, L2QueryLandsOnTheItemGrid) {
   q.DecodeRow(7, decoded);
   q.PrepareQuery(decoded, &prepared);
   ASSERT_EQ(prepared.codes.size(), 8u);
-  EXPECT_EQ(std::memcmp(prepared.codes.data(), q.Codes(7), 8), 0);
-  EXPECT_EQ(kernels::SquaredDistanceI8(prepared.codes.data(), q.Codes(7), 8),
-            0);
+  for (size_t d = 0; d < 8; ++d) {
+    EXPECT_EQ(prepared.codes[d], q.Code(7, d)) << d;
+  }
+  EXPECT_EQ(ScanScores(q, prepared)[7], 0);
 }
 
 TEST(QuantizeQuery, ZeroAndNonFiniteQueriesAreSafe) {
@@ -404,8 +415,10 @@ TEST(QuantizeQuery, ZeroAndNonFiniteQueriesAreSafe) {
   q.PrepareQuery(zero, &prepared);
   EXPECT_EQ(prepared.scale, 0.0f);
   EXPECT_EQ(prepared.bias, 0.0f);
-  for (int8_t w : prepared.weights) EXPECT_EQ(w, 0);
-  for (int8_t w : prepared.weights_lo) EXPECT_EQ(w, 0);
+  for (int16_t w : prepared.weights) EXPECT_EQ(w, 0);
+  // Every row ties at the bias, so no score floor may reject any of them.
+  EXPECT_EQ(q.ScoreFloor(prepared, q.ApproxScore(prepared, 0)),
+            std::numeric_limits<int32_t>::min());
 
   // Non-finite query entries are treated as 0 in the approximate scan:
   // the prepared query must stay finite.
@@ -413,11 +426,8 @@ TEST(QuantizeQuery, ZeroAndNonFiniteQueriesAreSafe) {
   q.PrepareQuery(weird, &prepared);
   EXPECT_TRUE(std::isfinite(prepared.scale));
   EXPECT_TRUE(std::isfinite(prepared.bias));
-  const int64_t idot =
-      128 * static_cast<int64_t>(
-                kernels::DotI8(prepared.weights.data(), q.Codes(0), 4)) +
-      kernels::DotI8(prepared.weights_lo.data(), q.Codes(0), 4);
-  EXPECT_TRUE(std::isfinite(q.ApproxScore(prepared, idot)));
+  const int32_t score = ScanScores(q, prepared)[0];
+  EXPECT_TRUE(std::isfinite(q.ApproxScore(prepared, score)));
 }
 
 TEST(QuantizeQuery, CodeBytesAreAQuarterOfTheFloatMatrix) {
@@ -426,6 +436,124 @@ TEST(QuantizeQuery, CodeBytesAreAQuarterOfTheFloatMatrix) {
   EXPECT_EQ(q.code_bytes(), 128u * 32u);
   EXPECT_EQ(q.code_bytes() * 4, factors.items.size() * sizeof(float));
   EXPECT_EQ(q.grid_bytes(), 2u * 32u * sizeof(float));
+}
+
+// ---------------------------------------------------------------------
+// QuantizeLayout: the [block][dim pair][row][2] blocks, cells and slots.
+
+TEST(QuantizeLayout, CellsStartOnBlockBoundariesAndKeepTheirOrder) {
+  // 70 items, dim 5 (an odd dim pads its last pair), in three cells of
+  // 33, 32 and 5 items given in a scrambled order.
+  const ItemFactors factors = RandomFactors(ScoreKernel::kDot, 70, 5, 7);
+  std::vector<std::vector<int32_t>> cells(3);
+  for (int32_t i = 0; i < 70; ++i) {
+    const int32_t item = (i * 37) % 70;
+    cells[i < 33 ? 0 : (i < 65 ? 1 : 2)].push_back(item);
+  }
+  const QuantizedItemFactors flat = QuantizedItemFactors::Encode(factors);
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors, cells);
+  ASSERT_EQ(flat.num_cells(), 1u);
+  EXPECT_EQ(flat.cell_begin(1), 3u);  // ceil(70 / 32)
+  ASSERT_EQ(q.num_cells(), 3u);
+  EXPECT_EQ(q.cell_begin(0), 0u);
+  EXPECT_EQ(q.cell_begin(1), 2u);
+  EXPECT_EQ(q.cell_begin(2), 3u);
+  EXPECT_EQ(q.cell_begin(3), 4u);
+  EXPECT_EQ(q.dim_pairs(), 3u);
+  EXPECT_EQ(q.code_bytes(), 4u * 3u * 2u * 32u);
+  EXPECT_EQ(q.live_rows(0), 0xFFFFFFFFu);
+  EXPECT_EQ(q.live_rows(1), 0x1u);
+  EXPECT_EQ(q.live_rows(2), 0xFFFFFFFFu);
+  EXPECT_EQ(q.live_rows(3), 0x1Fu);
+  EXPECT_EQ(flat.live_rows(2), 0x3Fu);
+  for (size_t c = 0; c < 3; ++c) {
+    for (size_t i = 0; i < cells[c].size(); ++i) {
+      const size_t slot = q.cell_begin(c) * 32 + i;
+      EXPECT_EQ(q.ItemAt(slot / 32, slot % 32), cells[c][i]);
+    }
+  }
+  // Same grid, same codes per item, whatever the layout.
+  for (size_t i = 0; i < 70; ++i) {
+    EXPECT_EQ(flat.ItemAt(i / 32, i % 32), static_cast<int32_t>(i));
+    for (size_t d = 0; d < 5; ++d) {
+      EXPECT_EQ(q.Code(i, d), flat.Code(i, d)) << i << " " << d;
+    }
+  }
+  // The block scan agrees with the codes, layout by layout.
+  Sq8Query prepared;
+  const std::vector<float> query{0.5f, -1.0f, 2.0f, 0.25f, -0.75f};
+  flat.PrepareQuery(query, &prepared);
+  ASSERT_EQ(prepared.weights.size(), 6u);
+  EXPECT_EQ(prepared.weights[5], 0);  // the padded dim
+  const std::vector<int32_t> scores = ScanScores(q, prepared);
+  EXPECT_EQ(scores, ScanScores(flat, prepared));
+  for (size_t i = 0; i < 70; ++i) {
+    int32_t want = 0;
+    for (size_t d = 0; d < 5; ++d) {
+      want += prepared.weights[d] * flat.Code(i, d);
+    }
+    EXPECT_EQ(scores[i], want) << i;
+  }
+}
+
+TEST(QuantizeLayout, NonFiniteRowsSurviveEveryFloor) {
+  // Item 33 (row 1 of the tail block) holds a NaN: ScanBlock reports it
+  // even above every possible score, and never reports a padding row.
+  ItemFactors factors = RandomFactors(ScoreKernel::kDot, 34, 3, 8);
+  factors.items.At(33, 1) = kNan;
+  const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+  EXPECT_EQ(q.nonfinite_rows(0), 0u);
+  EXPECT_EQ(q.nonfinite_rows(1), 0x2u);
+  Sq8Query prepared;
+  q.PrepareQuery(std::vector<float>{1.0f, 2.0f, 3.0f}, &prepared);
+  int32_t scores[QuantizedItemFactors::kBlockRows];
+  EXPECT_EQ(q.ScanBlock(1, prepared, std::numeric_limits<int32_t>::max(),
+                        scores),
+            0x2u);
+  EXPECT_EQ(q.ScanBlock(0, prepared, std::numeric_limits<int32_t>::max(),
+                        scores),
+            0u);
+}
+
+TEST(QuantizeLayout, ScoreFloorOnlyRejectsStrictlyWorseScores) {
+  // Every integer score below the floor must expand to strictly less
+  // than the pool's worst (Push would reject it), while a score at the
+  // floor may still tie or beat it. Checked on both kernels, around
+  // worsts drawn from the real expansion and from between two of its
+  // values.
+  for (const ScoreKernel kernel :
+       {ScoreKernel::kDot, ScoreKernel::kNegSquaredL2}) {
+    const ItemFactors factors = RandomFactors(kernel, 64, 24, 9);
+    const QuantizedItemFactors q = QuantizedItemFactors::Encode(factors);
+    Rng rng(10);
+    std::vector<float> query(24);
+    Sq8Query prepared;
+    for (int trial = 0; trial < 20; ++trial) {
+      for (float& v : query) v = static_cast<float>(rng.Normal());
+      q.PrepareQuery(query, &prepared);
+      for (const int32_t s : ScanScores(q, prepared)) {
+        const float at = q.ApproxScore(prepared, s);
+        for (const float worst :
+             {at, std::nextafter(at, -kInf), std::nextafter(at, kInf)}) {
+          const int32_t floor = q.ScoreFloor(prepared, worst);
+          ASSERT_GT(floor, std::numeric_limits<int32_t>::min());
+          for (int32_t below = floor - 64; below < floor; ++below) {
+            ASSERT_LT(q.ApproxScore(prepared, below), worst)
+                << "score " << below << " floor " << floor;
+          }
+          // And the floor is tight enough to matter: it sits within a
+          // few integers of the first score that reaches the worst.
+          EXPECT_GE(q.ApproxScore(prepared, floor + 64), worst)
+              << "floor " << floor;
+        }
+      }
+    }
+    // Non-finite worsts reject nothing.
+    for (const float worst : {kNan, kInf, -kInf}) {
+      EXPECT_EQ(q.ScoreFloor(prepared, worst),
+                std::numeric_limits<int32_t>::min());
+    }
+  }
 }
 
 }  // namespace

@@ -61,10 +61,21 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: once inlined into a caller, GCC pairs the free() with
+// the `new` it sees there and warns -Wmismatched-new-delete.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace kgrec {
 namespace {
@@ -73,7 +84,9 @@ using retrieval::BruteForceIndex;
 using retrieval::ItemFactors;
 using retrieval::IvfConfig;
 using retrieval::IvfIndex;
+using retrieval::QuantizedItemFactors;
 using retrieval::ScoreKernel;
+using retrieval::Sq8Query;
 using retrieval::TwoStageConfig;
 using retrieval::TwoStageRetriever;
 using serve::RetrievalSpec;
@@ -278,6 +291,17 @@ void ExpectExportContract(Recommender& model, const std::string& name) {
   const ItemFactors exported = factors->ExportItemFactors();
   ASSERT_EQ(exported.items.rows(), static_cast<size_t>(num_items)) << name;
   ASSERT_EQ(exported.items.cols(), factors->factor_dim()) << name;
+  EXPECT_EQ(factors->factor_users(), static_cast<size_t>(num_users)) << name;
+  // The borrowed table is the exported one, in place.
+  const retrieval::ItemFactorView borrowed = factors->BorrowItemFactors();
+  ASSERT_NE(borrowed.data, nullptr) << name;
+  ASSERT_EQ(borrowed.rows, exported.items.rows()) << name;
+  ASSERT_EQ(borrowed.dim, exported.items.cols()) << name;
+  EXPECT_EQ(borrowed.kernel, exported.kernel) << name;
+  EXPECT_EQ(std::memcmp(borrowed.data, exported.items.data(),
+                        exported.items.size() * sizeof(float)),
+            0)
+      << name;
 
   // Pointwise: kernel(query, row) must be bitwise Score().
   std::vector<float> query(factors->factor_dim());
@@ -718,6 +742,38 @@ TEST(RetrievalServe, IndexOverAnotherCatalogIsRefused) {
   EXPECT_EQ(handle, nullptr);
 }
 
+TEST(RetrievalServe, TwoStageCandidateMustCoverTheServedUsers) {
+  // An MF candidate fit on 10 users, under a ranker served for 30: stage
+  // 1 would read user 25's query from past the candidate's 10-row user
+  // table, so Adopt must refuse it. Same 40-item catalog, so only the
+  // user range differs.
+  const RetrievalWorld& world = SharedWorld();
+  WorldConfig config;
+  config.num_users = 10;
+  config.num_items = 40;
+  config.avg_interactions_per_user = 8.0;
+  config.seed = 517;
+  const SyntheticWorld narrow = GenerateWorld(config);
+  RecContext narrow_ctx;
+  narrow_ctx.train = &narrow.interactions;
+  narrow_ctx.seed = 29;
+  auto candidate = std::make_shared<MfRecommender>();
+  candidate->Fit(narrow_ctx);
+  ASSERT_EQ(candidate->factor_users(), 10u);
+  ASSERT_EQ(candidate->ExportItemFactors().items.rows(), 40u);
+  ASSERT_EQ(world.split.train.num_users(), 30);
+
+  RetrievalSpec spec;
+  spec.mode = RetrievalSpec::Mode::kTwoStage;
+  spec.candidate_model = candidate;
+  std::shared_ptr<const ServeHandle> handle;
+  const Status status = ServeHandle::Adopt(
+      std::make_unique<QuirkyRanker>(), world.Context(), 1, spec, &handle);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_EQ(handle, nullptr);
+}
+
 // ---------------------------------------------------------------------
 // RetrievalRouter: recommend traffic through the admission machinery.
 
@@ -806,7 +862,9 @@ TEST(RetrievalSq8, BruteDotScanIsBitwiseFloat) {
   const BruteForceIndex exact(CopyFactors(factors));
   const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
   ASSERT_NE(sq8.quantized(), nullptr);
-  EXPECT_EQ(sq8.quantized()->code_bytes(), 400u * 12u);
+  // 13 blocks of 32 rows x 6 dim pairs x 2 bytes: the 400 x 12 codes plus
+  // the tail block's 16 padding rows.
+  EXPECT_EQ(sq8.quantized()->code_bytes(), 13u * 6u * 2u * 32u);
 
   const std::vector<int32_t> exclude =
       retrieval::SanitizeExclude(std::vector<int32_t>{3, 44, 101, 399}, 400);
@@ -1024,6 +1082,165 @@ TEST(RetrievalSq8, TwoStageWithSq8StageOneServesRankerScores) {
     ExpectSameRanking(BruteReference(scores, 10), handle->Recommend(user, 10),
                       "two-stage sq8 user " + std::to_string(user));
   }
+}
+
+// ---------------------------------------------------------------------
+// RetrievalSq8Edges: the block scan's edges — partial and padded blocks,
+// odd dims, non-finite rows, exclusions on block boundaries, k past the
+// catalog, the zero query and the dim cap. Every case must return the
+// float32 top-k bitwise, for brute force and for IVF at every probe
+// count, on both kernels.
+
+/// Four random queries and the zero query (scale 0: every row ties).
+std::vector<std::vector<float>> EdgeQueries(size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> queries(4, std::vector<float>(dim));
+  for (std::vector<float>& query : queries) {
+    for (float& v : query) v = static_cast<float>(rng.Normal());
+  }
+  queries.emplace_back(dim, 0.0f);
+  return queries;
+}
+
+void ExpectSq8EqualsFloat(const ItemFactors& factors,
+                          const std::vector<std::vector<float>>& queries,
+                          const std::vector<size_t>& ks,
+                          const std::vector<int32_t>& exclude,
+                          const std::string& what) {
+  const BruteForceIndex f32(CopyFactors(factors));
+  const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
+  IvfConfig config;
+  config.num_clusters = std::min<size_t>(5, factors.items.rows());
+  for (size_t probes = 1; probes <= config.num_clusters; ++probes) {
+    config.num_probes = probes;
+    const IvfIndex ivf_f32(CopyFactors(factors), config);
+    const IvfIndex ivf_sq8(CopyFactors(factors), config, Sq8Spec());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (size_t k : ks) {
+        const std::string tag = what + " query " + std::to_string(q) +
+                                " k=" + std::to_string(k);
+        if (probes == 1) {
+          ExpectSameRanking(f32.Query(queries[q], k, exclude),
+                            sq8.Query(queries[q], k, exclude), tag + " brute");
+        }
+        ExpectSameRanking(ivf_f32.Query(queries[q], k, exclude),
+                          ivf_sq8.Query(queries[q], k, exclude),
+                          tag + " ivf probes=" + std::to_string(probes));
+        if (probes == config.num_clusters) {
+          ExpectSameRanking(f32.Query(queries[q], k, exclude),
+                            ivf_sq8.Query(queries[q], k, exclude),
+                            tag + " ivf full probe vs brute");
+        }
+      }
+    }
+  }
+}
+
+ItemFactors KernelFactors(ScoreKernel kernel, size_t n, size_t dim,
+                          uint64_t seed) {
+  ItemFactors factors = MixtureFactors(n, dim, seed);
+  factors.kernel = kernel;
+  return factors;
+}
+
+constexpr ScoreKernel kBothKernels[] = {ScoreKernel::kDot,
+                                        ScoreKernel::kNegSquaredL2};
+
+TEST(RetrievalSq8Edges, CatalogSizesAroundTheBlock) {
+  for (const ScoreKernel kernel : kBothKernels) {
+    for (const size_t n : {size_t{1}, size_t{31}, size_t{32}, size_t{33},
+                           size_t{1000}}) {
+      ExpectSq8EqualsFloat(KernelFactors(kernel, n, 8, 40 + n),
+                           EdgeQueries(8, 50 + n), {1, 10}, {},
+                           std::string(retrieval::ScoreKernelName(kernel)) +
+                               " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(RetrievalSq8Edges, OddDims) {
+  for (const ScoreKernel kernel : kBothKernels) {
+    for (const size_t dim : {size_t{1}, size_t{3}, size_t{17}}) {
+      ExpectSq8EqualsFloat(KernelFactors(kernel, 100, dim, 60 + dim),
+                           EdgeQueries(dim, 70 + dim), {10}, {},
+                           std::string(retrieval::ScoreKernelName(kernel)) +
+                               " dim=" + std::to_string(dim));
+    }
+  }
+}
+
+TEST(RetrievalSq8Edges, NonFiniteRowsInTheTailBlock) {
+  // 70 items: rows 64..69 fill the tail block of the catalog. Item 66
+  // holds a NaN, 68 a -inf and 69 a +inf; the second pass excludes 66
+  // and 69, which must then never be forced into the re-rank.
+  for (const ScoreKernel kernel : kBothKernels) {
+    ItemFactors factors = KernelFactors(kernel, 70, 6, 80);
+    factors.items.At(66, 2) = kNan;
+    factors.items.At(68, 0) = -kInf;
+    factors.items.At(69, 5) = kInf;
+    const std::string name = retrieval::ScoreKernelName(kernel);
+    ExpectSq8EqualsFloat(factors, EdgeQueries(6, 81), {1, 10}, {},
+                         name + " tail non-finite");
+    ExpectSq8EqualsFloat(factors, EdgeQueries(6, 82), {1, 10}, {66, 69},
+                         name + " tail non-finite excluded");
+  }
+}
+
+TEST(RetrievalSq8Edges, ExclusionsOnBlockBoundaries) {
+  const std::vector<int32_t> exclude{0, 31, 32, 63, 64, 95, 96, 99};
+  for (const ScoreKernel kernel : kBothKernels) {
+    ExpectSq8EqualsFloat(KernelFactors(kernel, 100, 8, 90), EdgeQueries(8, 91),
+                         {1, 10, 40}, exclude,
+                         std::string(retrieval::ScoreKernelName(kernel)) +
+                             " boundary exclusions");
+  }
+}
+
+TEST(RetrievalSq8Edges, KAtOrPastTheCatalog) {
+  for (const ScoreKernel kernel : kBothKernels) {
+    ExpectSq8EqualsFloat(KernelFactors(kernel, 50, 8, 100),
+                         EdgeQueries(8, 101), {49, 50, 80}, {3, 40},
+                         std::string(retrieval::ScoreKernelName(kernel)) +
+                             " k >= catalog");
+  }
+}
+
+TEST(RetrievalSq8Edges, DimCapSumsStayExactInInt32) {
+  // kMaxSq8Dim dims with every column spanning [0, 1]: the codes are 0 or
+  // 255 and an all-ones query weighs every dim at |W| = 16256, so an
+  // all-ones row scores 512 * 16256 * 255 = 2122383360, within 1.2% of
+  // 2^31. A wrapped sum would reorder the pool; the results must still
+  // be the float32 ones.
+  constexpr size_t dim = retrieval::kMaxSq8Dim;
+  constexpr size_t n = 40;
+  ItemFactors factors;
+  factors.kernel = ScoreKernel::kDot;
+  factors.items = Matrix(n, dim);
+  Rng rng(110);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      factors.items.At(i, d) =
+          i < 3 || d == 0 ? 1.0f : static_cast<float>(rng.UniformInt(2));
+    }
+  }
+  for (size_t d = 0; d < dim; ++d) factors.items.At(n - 1, d) = 0.0f;
+  std::vector<std::vector<float>> queries = EdgeQueries(dim, 111);
+  queries.emplace_back(dim, 1.0f);
+  queries.emplace_back(dim, -1.0f);
+  ExpectSq8EqualsFloat(factors, queries, {1, 10}, {}, "dim cap");
+
+  const BruteForceIndex sq8(CopyFactors(factors), Sq8Spec());
+  Sq8Query prepared;
+  sq8.quantized()->PrepareQuery(queries[5], &prepared);
+  int32_t scores[QuantizedItemFactors::kBlockRows];
+  sq8.quantized()->ScanBlock(0, prepared, 0, scores);
+  EXPECT_EQ(scores[0], 2122383360);
+
+  // One dim past the cap has no exact int32 sum: serving refuses it.
+  EXPECT_EQ(retrieval::ValidateScan(Sq8Spec(), dim + 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(retrieval::ValidateScan(Sq8Spec(), dim).ok());
+  EXPECT_TRUE(retrieval::ValidateScan(retrieval::ScanSpec{}, dim + 1).ok());
 }
 
 // ---------------------------------------------------------------------

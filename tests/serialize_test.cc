@@ -72,7 +72,7 @@ TEST(Serialize, CorruptMagicIsInvalidArgument) {
 
 TEST(Serialize, TruncatedCheckpointIsIoError) {
   const std::string path = TempPath("truncated.kgrc");
-  std::vector<NamedTensor> original{{"x", 4, 4, std::vector<float>(16, 1.0f)}};
+  std::vector<NamedTensor> original{{"x", 4, 4, AlignedVector<float>(16, 1.0f)}};
   ASSERT_TRUE(SaveCheckpoint(path, TestHeader(), original).ok());
   // Truncate the file mid-blob.
   std::FILE* f = std::fopen(path.c_str(), "rb");
