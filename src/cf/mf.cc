@@ -88,14 +88,6 @@ std::vector<float> MfRecommender::ScoreItems(
   return out;
 }
 
-retrieval::ItemFactors MfRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = Matrix(item_emb_.rows(), item_emb_.cols());
-  std::copy_n(item_emb_.data(), factors.items.size(), factors.items.data());
-  return factors;
-}
-
 void MfRecommender::FillUserQuery(int32_t user, std::span<float> out) const {
   KGREC_CHECK_EQ(out.size(), config_.dim);
   std::copy_n(user_emb_.data() + user * config_.dim, config_.dim, out.data());

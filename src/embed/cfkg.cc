@@ -78,13 +78,6 @@ retrieval::ScoreKernel CfkgRecommender::factor_kernel() const {
   return model_->retrieval_kernel();
 }
 
-retrieval::ItemFactors CfkgRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = item_factors_;
-  return factors;
-}
-
 void CfkgRecommender::FillUserQuery(int32_t user,
                                     std::span<float> out) const {
   KGREC_CHECK_EQ(out.size(), config_.dim);

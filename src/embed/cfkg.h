@@ -60,7 +60,6 @@ class CfkgRecommender : public Recommender, public DotProductFactors {
   // DotProductFactors (retrieval/factors.h).
   size_t factor_dim() const override { return config_.dim; }
   retrieval::ScoreKernel factor_kernel() const override;
-  retrieval::ItemFactors ExportItemFactors() const override;
   retrieval::ItemFactorView BorrowItemFactors() const override {
     return {factor_kernel(), item_factors_.data(), item_factors_.rows(),
             item_factors_.cols()};

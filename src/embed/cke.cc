@@ -229,13 +229,6 @@ std::vector<float> CkeRecommender::ScoreItems(
   return out;
 }
 
-retrieval::ItemFactors CkeRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = item_vecs_;
-  return factors;
-}
-
 void CkeRecommender::FillUserQuery(int32_t user, std::span<float> out) const {
   KGREC_CHECK_EQ(out.size(), user_vecs_.cols());
   std::copy_n(user_vecs_.Row(user), user_vecs_.cols(), out.data());

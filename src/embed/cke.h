@@ -63,7 +63,6 @@ class CkeRecommender : public Recommender, public DotProductFactors {
   retrieval::ScoreKernel factor_kernel() const override {
     return retrieval::ScoreKernel::kDot;
   }
-  retrieval::ItemFactors ExportItemFactors() const override;
   retrieval::ItemFactorView BorrowItemFactors() const override {
     return {factor_kernel(), item_vecs_.data(), item_vecs_.rows(),
             item_vecs_.cols()};

@@ -5,14 +5,14 @@
 #include <cstring>
 #include <limits>
 
-// Dispatch resolution. KGREC_SIMD_OFF / KGREC_SIMD_FORCE_SSE2 come from
-// the KGREC_SIMD CMake knob; __SSE2__/__AVX2__ from the compile target.
+// Dispatch resolution. KGREC_SIMD_OFF comes from the KGREC_SIMD CMake
+// knob; __SSE2__/__AVX2__ from the compile target.
 // x86-64 always has SSE2, so the scalar path is only taken on non-x86
 // targets or in the KGREC_SIMD=off specification build.
 #if !defined(KGREC_SIMD_OFF) && defined(__SSE2__)
 #define KGREC_KERNELS_SSE2 1
 #include <emmintrin.h>
-#if defined(__AVX2__) && !defined(KGREC_SIMD_FORCE_SSE2)
+#if defined(__AVX2__)
 #define KGREC_KERNELS_AVX2 1
 #include <immintrin.h>
 #endif

@@ -54,7 +54,6 @@ namespace kgrec {
 ///   auto (default) — SSE2 kernels (always available on x86-64); matrix
 ///                    and elementwise kernels widen to AVX2 when the
 ///                    compile target has it (e.g. -march=native).
-///   sse2           — as auto, but never widen past 128-bit.
 ///   off            — public entry points alias the scalar reference;
 ///                    this is the specification build CI keeps green.
 namespace kernels {

@@ -186,14 +186,6 @@ std::vector<float> HeteCfRecommender::ScoreItems(
   return out;
 }
 
-retrieval::ItemFactors HeteCfRecommender::ExportItemFactors() const {
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = Matrix(item_emb_.rows(), item_emb_.cols());
-  std::copy_n(item_emb_.data(), factors.items.size(), factors.items.data());
-  return factors;
-}
-
 void HeteCfRecommender::FillUserQuery(int32_t user,
                                       std::span<float> out) const {
   KGREC_CHECK_EQ(out.size(), config_.dim);

@@ -45,7 +45,6 @@ class HeteMfRecommender : public Recommender, public DotProductFactors {
   retrieval::ScoreKernel factor_kernel() const override {
     return retrieval::ScoreKernel::kDot;
   }
-  retrieval::ItemFactors ExportItemFactors() const override;
   retrieval::ItemFactorView BorrowItemFactors() const override {
     if (!item_emb_.defined()) return {};
     return {factor_kernel(), item_emb_.data(), item_emb_.rows(),

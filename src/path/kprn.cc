@@ -1,12 +1,11 @@
 #include "path/kprn.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
-#include <unordered_map>
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "core/thread_pool.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -39,40 +38,24 @@ nn::Tensor KprnRecommender::PathScores(
       nn::Relu(score_hidden_.Forward(state.h)));  // [P, 1]
 }
 
-nn::Tensor KprnRecommender::PairLogit(int32_t user, int32_t item) const {
-  const std::vector<PathInstance> paths =
-      static_cast<size_t>(user) < user_ctx_.size()
-          ? finder_->FindPaths(user_ctx_[user], item)
-          : finder_->FindPaths(user, item);
-  nn::Tensor scores = PathScores(paths);
-  if (!scores.defined()) return no_path_bias_;
+nn::Tensor KprnRecommender::Pool(const nn::Tensor& scores) const {
   // Weighted pooling (KPRN Eq. 9): gamma * log sum exp(s_p / gamma).
   const float gamma = config_.pooling_gamma;
   nn::Tensor scaled = nn::ScaleBy(scores, 1.0f / gamma);
-  nn::Tensor pooled = nn::ScaleBy(nn::Log(nn::Sum(nn::Exp(scaled))), gamma);
-  return pooled;
+  return nn::ScaleBy(nn::Log(nn::Sum(nn::Exp(scaled))), gamma);
+}
+
+nn::Tensor KprnRecommender::PairLogit(int32_t user, int32_t item) const {
+  nn::Tensor scores = PathScores(finder_->FindPaths(user, item));
+  return scores.defined() ? Pool(scores) : no_path_bias_;
 }
 
 void KprnRecommender::BuildPathIndex(const RecContext& context) {
   KGREC_CHECK(context.train != nullptr);
   KGREC_CHECK(context.user_item_graph != nullptr);
-  const InteractionDataset& train = *context.train;
   finder_ = std::make_unique<TemplatePathFinder>(
-      *context.user_item_graph, train, config_.max_paths_per_template);
-  // Precompute every user's path context in parallel (BuildUserContext is
-  // const and RNG-free, so the contexts are identical at any thread
-  // count); PairLogit then probes the index instead of rebuilding the
-  // user's attribute map for every pair in every epoch.
-  user_ctx_.resize(train.num_users());
-  const Status ctx_status = ParallelFor(
-      train.num_users(), config_.num_threads,
-      [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          user_ctx_[u] = finder_->BuildUserContext(static_cast<int32_t>(u));
-        }
-        return Status::OK();
-      });
-  KGREC_CHECK(ctx_status.ok());
+      *context.user_item_graph, *context.train,
+      config_.max_paths_per_template, config_.num_threads);
 }
 
 void KprnRecommender::Fit(const RecContext& context) {
@@ -166,51 +149,31 @@ float KprnRecommender::Score(int32_t user, int32_t item) const {
 std::vector<float> KprnRecommender::ScoreItems(
     int32_t user, std::span<const int32_t> items) const {
   std::vector<float> out(items.size());
-  const TemplatePathFinder::UserPathContext ctx =
-      finder_->BuildUserContext(user);
-  std::vector<std::vector<PathInstance>> per_item(items.size());
-  // PathScores pads every path in a batch to the batch's longest path, so
-  // candidates are grouped by their own max length to keep the LSTM step
-  // count — and therefore the floats — identical to the per-pair call.
-  // Template paths all have 4 entities, so in practice this is one group.
-  std::unordered_map<size_t, std::vector<size_t>> by_len;
-  for (size_t i = 0; i < items.size(); ++i) {
-    std::vector<PathInstance> paths = finder_->FindPaths(ctx, items[i]);
-    if (paths.empty()) {
-      out[i] = no_path_bias_.value();
-      continue;
+  // Chunked so the [P, hidden] LSTM intermediates stay bounded. Every
+  // template path has 4 entities, so one LSTM pass over many candidates'
+  // paths takes the same steps as the per-pair call.
+  constexpr size_t kChunk = 512;
+  for (size_t start = 0; start < items.size(); start += kChunk) {
+    const size_t end = std::min(items.size(), start + kChunk);
+    std::vector<PathInstance> batch_paths;
+    std::vector<size_t> counts;
+    for (size_t i = start; i < end; ++i) {
+      std::vector<PathInstance> paths = finder_->FindPaths(user, items[i]);
+      counts.push_back(paths.size());
+      std::move(paths.begin(), paths.end(), std::back_inserter(batch_paths));
     }
-    size_t max_len = 0;
-    for (const PathInstance& p : paths) {
-      max_len = std::max(max_len, p.entities.size());
-    }
-    by_len[max_len].push_back(i);
-    per_item[i] = std::move(paths);
-  }
-  const float gamma = config_.pooling_gamma;
-  for (const auto& [len, group] : by_len) {
-    // Chunked so the [P, hidden] LSTM intermediates stay bounded.
-    constexpr size_t kChunk = 512;
-    for (size_t start = 0; start < group.size(); start += kChunk) {
-      const size_t chunk_end = std::min(group.size(), start + kChunk);
-      std::vector<PathInstance> batch_paths;
-      for (size_t g = start; g < chunk_end; ++g) {
-        const auto& paths = per_item[group[g]];
-        batch_paths.insert(batch_paths.end(), paths.begin(), paths.end());
+    nn::Tensor scores = PathScores(batch_paths);  // [P, 1]
+    int32_t offset = 0;
+    for (size_t i = start; i < end; ++i) {
+      const size_t count = counts[i - start];
+      if (count == 0) {
+        out[i] = no_path_bias_.value();
+        continue;
       }
-      nn::Tensor scores = PathScores(batch_paths);  // [P, 1]
-      size_t offset = 0;
-      for (size_t g = start; g < chunk_end; ++g) {
-        const size_t i = group[g];
-        std::vector<int32_t> rows(per_item[i].size());
-        std::iota(rows.begin(), rows.end(), static_cast<int32_t>(offset));
-        offset += rows.size();
-        nn::Tensor s = nn::Gather(scores, rows);
-        // Same pooling as PairLogit on the same floats in the same order.
-        nn::Tensor pooled = nn::ScaleBy(
-            nn::Log(nn::Sum(nn::Exp(nn::ScaleBy(s, 1.0f / gamma)))), gamma);
-        out[i] = pooled.value();
-      }
+      std::vector<int32_t> rows(count);
+      std::iota(rows.begin(), rows.end(), offset);
+      offset += static_cast<int32_t>(count);
+      out[i] = Pool(nn::Gather(scores, rows)).value();
     }
   }
   return out;

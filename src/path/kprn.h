@@ -23,10 +23,9 @@ struct KprnConfig {
   /// Temperature gamma of the weighted pooling layer
   /// s = gamma * log sum exp(s_p / gamma).
   float pooling_gamma = 1.0f;
-  /// Threads for the per-user path-context precompute in Fit(). Context
-  /// construction is RNG-free and FindPaths(ctx, item) is documented
-  /// bitwise-identical to FindPaths(user, item), so any value >= 1 gives
-  /// identical training — this is a pure speed knob.
+  /// Threads for the path finder's per-user index build (Fit and Load).
+  /// The build is RNG-free, so any value >= 1 gives identical paths and
+  /// training — this is a pure speed knob.
   size_t num_threads = 1;
 };
 
@@ -45,11 +44,10 @@ class KprnRecommender : public Recommender {
   void Fit(const RecContext& context) override;
   float Score(int32_t user, int32_t item) const override;
 
-  /// Batched fast path: enumerates paths against a once-per-user
-  /// TemplatePathFinder context, runs all candidates' paths through one
-  /// LSTM pass (grouped by padded length so the step count matches the
-  /// per-pair call), then pools each candidate's gathered score rows with
-  /// the same op sequence as PairLogit — bitwise equal to Score().
+  /// Batched fast path: runs all candidates' paths through one LSTM pass
+  /// (every path has 4 entities, so the step count matches the per-pair
+  /// call), then pools each candidate's gathered score rows through the
+  /// same Pool as PairLogit — bitwise equal to Score().
   std::vector<float> ScoreItems(int32_t user,
                                 std::span<const int32_t> items) const override;
 
@@ -61,28 +59,26 @@ class KprnRecommender : public Recommender {
 
  protected:
   /// Stores the entity/relation embeddings, LSTM and scorer parameters
-  /// and the no-path bias; the path finder and per-user contexts are
-  /// rebuilt on load.
+  /// and the no-path bias; the path finder is rebuilt on load.
   Status VisitState(StateVisitor* visitor) override;
   Status PrepareLoad(const RecContext& context) override;
 
  private:
-  /// Rebuilds the path finder and per-user path contexts (RNG-free).
+  /// Rebuilds the path finder (RNG-free).
   void BuildPathIndex(const RecContext& context);
 
   /// Per-path scores [P, 1] for the pair's paths (differentiable);
   /// undefined tensor when there are no paths.
   nn::Tensor PathScores(const std::vector<PathInstance>& paths) const;
 
+  /// Weighted (log-sum-exp) pooling of one pair's path scores [P, 1].
+  nn::Tensor Pool(const nn::Tensor& scores) const;
+
   /// Pooled scalar logit for one pair.
   nn::Tensor PairLogit(int32_t user, int32_t item) const;
 
   KprnConfig config_;
   std::unique_ptr<TemplatePathFinder> finder_;
-  /// Per-user path contexts precomputed once in Fit(), so training
-  /// enumerates paths against the index instead of re-probing the user's
-  /// history for every pair in every epoch.
-  std::vector<TemplatePathFinder::UserPathContext> user_ctx_;
   nn::Tensor entity_emb_;
   nn::Tensor relation_emb_;  // num_relations + 1 rows (<end> sentinel)
   int32_t end_relation_ = 0;

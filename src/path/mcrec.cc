@@ -6,7 +6,6 @@
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "core/thread_pool.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
@@ -30,16 +29,9 @@ std::string SignatureKey(const std::vector<RelationId>& relations) {
 
 nn::Tensor McRecRecommender::Forward(const std::vector<int32_t>& users,
                                      const std::vector<int32_t>& items) const {
-  return ForwardImpl(users, items, nullptr);
-}
-
-nn::Tensor McRecRecommender::ForwardImpl(
-    const std::vector<int32_t>& users, const std::vector<int32_t>& items,
-    const TemplatePathFinder::UserPathContext* ctx) const {
   const size_t batch = users.size();
   const size_t num_types = type_keys_.size();
   const size_t p = config_.instances_per_type;
-  const size_t d = config_.dim;
   const size_t rows = batch * num_types * p;
 
   // Collect padded instances and per-type presence masks.
@@ -47,14 +39,8 @@ nn::Tensor McRecRecommender::ForwardImpl(
       kPathLen, std::vector<int32_t>(rows));
   std::vector<float> type_mask(batch * num_types, -1e9f);
   for (size_t b = 0; b < batch; ++b) {
-    std::vector<PathInstance> paths;
-    if (ctx != nullptr) {
-      paths = finder_->FindPaths(*ctx, items[b]);
-    } else if (static_cast<size_t>(users[b]) < user_ctx_.size()) {
-      paths = finder_->FindPaths(user_ctx_[users[b]], items[b]);
-    } else {
-      paths = finder_->FindPaths(users[b], items[b]);
-    }
+    const std::vector<PathInstance> paths =
+        finder_->FindPaths(users[b], items[b]);
     std::unordered_map<std::string, std::vector<const PathInstance*>> by_type;
     for (const PathInstance& path : paths) {
       by_type[SignatureKey(path.relations)].push_back(&path);
@@ -132,25 +118,10 @@ nn::Tensor McRecRecommender::ForwardImpl(
 void McRecRecommender::BuildPathIndex(const RecContext& context) {
   KGREC_CHECK(context.train != nullptr);
   KGREC_CHECK(context.user_item_graph != nullptr);
-  const InteractionDataset& train = *context.train;
   graph_ = context.user_item_graph;
-
   finder_ = std::make_unique<TemplatePathFinder>(
-      *graph_, train, config_.instances_per_type);
-  // Precompute every user's path context in parallel (BuildUserContext is
-  // const and RNG-free, so the contexts are identical at any thread
-  // count); training forwards then probe the index instead of rebuilding
-  // the user's attribute map for every pair in every epoch.
-  user_ctx_.resize(train.num_users());
-  const Status ctx_status = ParallelFor(
-      train.num_users(), config_.num_threads,
-      [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          user_ctx_[u] = finder_->BuildUserContext(static_cast<int32_t>(u));
-        }
-        return Status::OK();
-      });
-  KGREC_CHECK(ctx_status.ok());
+      *graph_, *context.train, config_.instances_per_type,
+      config_.num_threads);
   // Meta-path types: the >=2-edge user->item meta-paths of the schema
   // (shared-attribute per relation + collaborative), matching the
   // finder's templates.
@@ -254,8 +225,6 @@ float McRecRecommender::Score(int32_t user, int32_t item) const {
 std::vector<float> McRecRecommender::ScoreItems(
     int32_t user, std::span<const int32_t> items) const {
   std::vector<float> out(items.size());
-  const TemplatePathFinder::UserPathContext ctx =
-      finder_->BuildUserContext(user);
   // Chunked so the [B*T*P, d] instance tensors stay cache-resident.
   constexpr size_t kChunk = 128;
   for (size_t start = 0; start < items.size(); start += kChunk) {
@@ -263,7 +232,7 @@ std::vector<float> McRecRecommender::ScoreItems(
     const std::vector<int32_t> users(batch, user);
     const std::vector<int32_t> chunk(items.begin() + start,
                                      items.begin() + start + batch);
-    nn::Tensor logits = ForwardImpl(users, chunk, &ctx);  // [B, 1]
+    nn::Tensor logits = Forward(users, chunk);  // [B, 1]
     std::copy(logits.data(), logits.data() + batch, out.begin() + start);
   }
   return out;

@@ -21,10 +21,9 @@ struct McRecConfig {
   float l2 = 1e-5f;
   /// Path instances sampled per meta-path type (padded by repetition).
   size_t instances_per_type = 3;
-  /// Threads for the per-user path-context precompute in Fit(). Context
-  /// construction is RNG-free and FindPaths(ctx, item) is documented
-  /// bitwise-identical to FindPaths(user, item), so any value >= 1 gives
-  /// identical training — this is a pure speed knob.
+  /// Threads for the path finder's per-user index build (Fit and Load).
+  /// The build is RNG-free, so any value >= 1 gives identical paths and
+  /// training — this is a pure speed knob.
   size_t num_threads = 1;
 };
 
@@ -43,42 +42,30 @@ class McRecRecommender : public Recommender {
   void Fit(const RecContext& context) override;
   float Score(int32_t user, int32_t item) const override;
 
-  /// Batched fast path: one chunked Forward() with the user repeated,
-  /// enumerating paths against a once-per-user TemplatePathFinder
-  /// context. Every op in Forward() is row-independent per pair, so the
-  /// batched rows are bitwise equal to per-item Score() calls.
+  /// Batched fast path: one chunked Forward() with the user repeated.
+  /// Every op in Forward() is row-independent per pair, so the batched
+  /// rows are bitwise equal to per-item Score() calls.
   std::vector<float> ScoreItems(int32_t user,
                                 std::span<const int32_t> items) const override;
 
   std::string HyperFingerprint() const override;
 
  protected:
-  /// Stores all embedding tables and layer parameters; the path finder,
-  /// per-user contexts and meta-path type keys are rebuilt on load.
+  /// Stores all embedding tables and layer parameters; the path finder
+  /// and meta-path type keys are rebuilt on load.
   Status VisitState(StateVisitor* visitor) override;
   Status PrepareLoad(const RecContext& context) override;
 
  private:
-  /// Rebuilds the path finder, per-user path contexts and meta-path type
-  /// keys (RNG-free).
+  /// Rebuilds the path finder and meta-path type keys (RNG-free).
   void BuildPathIndex(const RecContext& context);
 
   /// Logits [B,1] for user-item pairs (differentiable).
   nn::Tensor Forward(const std::vector<int32_t>& users,
                      const std::vector<int32_t>& items) const;
 
-  /// Forward with path enumeration through a reusable user context (all
-  /// users must equal ctx->user); ctx == nullptr probes per pair.
-  nn::Tensor ForwardImpl(const std::vector<int32_t>& users,
-                         const std::vector<int32_t>& items,
-                         const TemplatePathFinder::UserPathContext* ctx) const;
-
   McRecConfig config_;
   std::unique_ptr<TemplatePathFinder> finder_;
-  /// Per-user path contexts precomputed once in Fit(), so training
-  /// enumerates paths against the index instead of re-probing the user's
-  /// history for every pair in every epoch.
-  std::vector<TemplatePathFinder::UserPathContext> user_ctx_;
   const UserItemGraph* graph_ = nullptr;
   /// Meta-path type signatures (relation-id sequences rendered to keys).
   std::vector<std::string> type_keys_;

@@ -1,21 +1,14 @@
 #include "path/path_finder.h"
 
-#include <algorithm>
-
 #include "core/check.h"
+#include "core/thread_pool.h"
 
 namespace kgrec {
-namespace {
-
-int64_t PairKey(int32_t a, int32_t b) {
-  return (static_cast<int64_t>(a) << 32) | static_cast<uint32_t>(b);
-}
-
-}  // namespace
 
 TemplatePathFinder::TemplatePathFinder(const UserItemGraph& graph,
                                        const InteractionDataset& train,
-                                       size_t max_paths_per_template)
+                                       size_t max_paths_per_template,
+                                       size_t num_threads)
     : graph_(&graph),
       train_(&train),
       max_per_template_(max_paths_per_template) {
@@ -37,7 +30,6 @@ TemplatePathFinder::TemplatePathFinder(const UserItemGraph& graph,
           edges[e].relation != graph.interact_relation &&
           edges[e].relation != interact_inv_) {
         item_attrs_[j].push_back(edges[e]);
-        item_attr_relation_[PairKey(j, edges[e].target)] = edges[e].relation;
       }
     }
   }
@@ -52,19 +44,26 @@ TemplatePathFinder::TemplatePathFinder(const UserItemGraph& graph,
       inverse_relation_[r] = inverse;
     }
   }
+  user_ctx_.resize(train.num_users());
+  const Status status = ParallelFor(
+      train.num_users(), num_threads, [&](size_t begin, size_t end) {
+        for (size_t u = begin; u < end; ++u) {
+          user_ctx_[u] = BuildUserContext(static_cast<int32_t>(u));
+        }
+        return Status::OK();
+      });
+  KGREC_CHECK(status.ok());
 }
 
 TemplatePathFinder::UserPathContext TemplatePathFinder::BuildUserContext(
     int32_t user) const {
   UserPathContext ctx;
-  ctx.user = user;
-  ctx.user_entity = graph_->UserEntity(user);
   for (int32_t j : train_->UserItems(user)) {
     for (const Edge& e : item_attrs_[j]) {
-      auto& list = ctx.attr_items[e.target];
+      auto& list = ctx[e.target];
       if (!list.empty() && list.back().first == j) {
         // Parallel edge from j to the same attribute: keep the last
-        // relation, matching item_attr_relation_'s last write.
+        // relation.
         list.back().second = e.relation;
       } else {
         list.emplace_back(j, e.relation);
@@ -76,31 +75,33 @@ TemplatePathFinder::UserPathContext TemplatePathFinder::BuildUserContext(
 
 std::vector<PathInstance> TemplatePathFinder::FindPaths(int32_t user,
                                                         int32_t item) const {
+  KGREC_CHECK(static_cast<size_t>(user) < user_ctx_.size());
   std::vector<PathInstance> out;
   const EntityId user_entity = graph_->UserEntity(user);
   const EntityId item_entity = graph_->ItemEntity(item);
   const RelationId interact = graph_->interact_relation;
-  const auto& history = train_->UserItems(user);
 
   // The direct U -I-> v edge is intentionally excluded: during training
   // it is present for every positive and absent for every negative, so a
   // path model would learn that shortcut and transfer nothing to held-out
   // items (which never have the direct edge either).
 
-  // Template 1: shared attribute U -I-> j -r-> a -r^-1-> v.
+  // Template 1: shared attribute U -I-> j -r-> a -r^-1-> v, attribute-
+  // major and history-minor, probing the user's attribute index.
+  const UserPathContext& ctx = user_ctx_[user];
   size_t found = 0;
   for (const Edge& attr : item_attrs_[item]) {
     if (found >= max_per_template_) break;
-    for (int32_t j : history) {
+    const auto it = ctx.find(attr.target);
+    if (it == ctx.end()) continue;
+    const RelationId inverse = inverse_relation_[attr.relation];
+    if (inverse < 0) continue;
+    for (const auto& [j, relation] : it->second) {
       if (j == item) continue;
-      auto it = item_attr_relation_.find(PairKey(j, attr.target));
-      if (it == item_attr_relation_.end()) continue;
-      const RelationId inverse = inverse_relation_[attr.relation];
-      if (inverse < 0) continue;
       PathInstance p;
       p.entities = {user_entity, graph_->ItemEntity(j), attr.target,
                     item_entity};
-      p.relations = {interact, it->second, inverse};
+      p.relations = {interact, relation, inverse};
       out.push_back(std::move(p));
       if (++found >= max_per_template_) break;
     }
@@ -116,53 +117,6 @@ std::vector<PathInstance> TemplatePathFinder::FindPaths(int32_t user,
       if (!train_->Contains(user, j)) continue;
       PathInstance p;
       p.entities = {user_entity, graph_->ItemEntity(j),
-                    graph_->UserEntity(other), item_entity};
-      p.relations = {interact, interact_inv_, interact};
-      out.push_back(std::move(p));
-      ++found;
-      break;  // one witness item per collaborating user
-    }
-  }
-  return out;
-}
-
-std::vector<PathInstance> TemplatePathFinder::FindPaths(
-    const UserPathContext& ctx, int32_t item) const {
-  std::vector<PathInstance> out;
-  const EntityId item_entity = graph_->ItemEntity(item);
-  const RelationId interact = graph_->interact_relation;
-
-  // Template 1: shared attribute, probing the user-side index instead of
-  // the full history. Iteration order (attr-major, history-minor) and the
-  // caps match the user-id overload, so the emitted paths are identical.
-  size_t found = 0;
-  for (const Edge& attr : item_attrs_[item]) {
-    if (found >= max_per_template_) break;
-    const auto it = ctx.attr_items.find(attr.target);
-    if (it == ctx.attr_items.end()) continue;
-    const RelationId inverse = inverse_relation_[attr.relation];
-    for (const auto& [j, relation] : it->second) {
-      if (j == item) continue;
-      if (inverse < 0) continue;
-      PathInstance p;
-      p.entities = {ctx.user_entity, graph_->ItemEntity(j), attr.target,
-                    item_entity};
-      p.relations = {interact, relation, inverse};
-      out.push_back(std::move(p));
-      if (++found >= max_per_template_) break;
-    }
-  }
-
-  // Template 2: collaborative — inherently candidate-driven, unchanged.
-  found = 0;
-  for (int32_t other : item_users_[item]) {
-    if (found >= max_per_template_) break;
-    if (other == ctx.user) continue;
-    for (int32_t j : train_->UserItems(other)) {
-      if (j == item) continue;
-      if (!train_->Contains(ctx.user, j)) continue;
-      PathInstance p;
-      p.entities = {ctx.user_entity, graph_->ItemEntity(j),
                     graph_->UserEntity(other), item_entity};
       p.relations = {interact, interact_inv_, interact};
       out.push_back(std::move(p));

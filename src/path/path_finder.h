@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "data/interactions.h"
@@ -23,54 +23,46 @@ namespace kgrec {
 /// exactly the relation sequences that exist in this schema).
 class TemplatePathFinder {
  public:
-  /// `graph` and `train` must outlive the finder.
+  /// `graph` and `train` must outlive the finder. Indexes every user's
+  /// history once, on `num_threads` threads; the index is RNG-free, so
+  /// FindPaths answers identically at any thread count.
   TemplatePathFinder(const UserItemGraph& graph,
                      const InteractionDataset& train,
-                     size_t max_paths_per_template = 3);
+                     size_t max_paths_per_template = 3,
+                     size_t num_threads = 1);
 
   /// Path instances from the user to the item (entity ids of the
-  /// user-item KG), at most 3 * max_paths_per_template, deterministic.
+  /// user-item KG), at most 2 * max_paths_per_template, deterministic.
+  /// Every path has exactly 4 entities. Requires 0 <= user < num_users.
   std::vector<PathInstance> FindPaths(int32_t user, int32_t item) const;
-
-  /// User-side state of FindPaths, reusable across candidate items. The
-  /// shared-attribute template spends its time probing which history
-  /// items reach each attribute; that index depends only on the user.
-  struct UserPathContext {
-    int32_t user = -1;
-    EntityId user_entity = -1;
-    /// Per attribute entity: the user's history items that reach it, with
-    /// the connecting relation, in history order (one entry per item —
-    /// parallel edges collapse to the last relation, mirroring the
-    /// last-write-wins (item, attribute) index used by FindPaths).
-    std::unordered_map<EntityId,
-                       std::vector<std::pair<int32_t, RelationId>>>
-        attr_items;
-  };
-
-  /// Builds the reusable user-side index (one pass over the history).
-  UserPathContext BuildUserContext(int32_t user) const;
-
-  /// Identical output to FindPaths(ctx.user, item) — same paths, same
-  /// order — without re-probing the user's history per candidate.
-  std::vector<PathInstance> FindPaths(const UserPathContext& ctx,
-                                      int32_t item) const;
 
   const UserItemGraph& graph() const { return *graph_; }
 
  private:
+  /// One user's side of the shared-attribute template: per attribute
+  /// entity, the user's history items that reach it with the connecting
+  /// relation, in history order (parallel edges from one item collapse
+  /// to the last relation).
+  using UserPathContext =
+      std::unordered_map<EntityId,
+                         std::vector<std::pair<int32_t, RelationId>>>;
+
+  UserPathContext BuildUserContext(int32_t user) const;
+
   const UserItemGraph* graph_;
   const InteractionDataset* train_;
   size_t max_per_template_;
   RelationId interact_inv_ = -1;
   /// Attribute edges per item: (relation, attribute entity).
   std::vector<std::vector<Edge>> item_attrs_;
-  /// (item, attribute entity) membership with the connecting relation.
-  std::unordered_map<int64_t, RelationId> item_attr_relation_;
   /// Users per item (train interactions).
   std::vector<std::vector<int32_t>> item_users_;
   /// Per relation id: the id of "<name>^-1", or -1 when absent (resolved
   /// once here instead of a string lookup per emitted path).
   std::vector<RelationId> inverse_relation_;
+  /// Per user: the shared-attribute index, so a candidate probes it
+  /// instead of the whole history.
+  std::vector<UserPathContext> user_ctx_;
 };
 
 }  // namespace kgrec

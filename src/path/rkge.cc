@@ -1,27 +1,21 @@
 #include "path/rkge.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
-#include <unordered_map>
 
 #include "core/check.h"
 #include "core/model_state.h"
-#include "core/thread_pool.h"
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
 
 namespace kgrec {
 
-nn::Tensor RkgeRecommender::PairLogit(int32_t user, int32_t item) const {
-  const std::vector<PathInstance> paths =
-      static_cast<size_t>(user) < user_ctx_.size()
-          ? finder_->FindPaths(user_ctx_[user], item)
-          : finder_->FindPaths(user, item);
-  if (paths.empty()) return no_path_bias_;
-  // Encode all paths in one GRU batch: paths are padded to the longest
-  // (<= 4 entities) by repeating the final entity (a no-op for the state
-  // that reached it: negligible at these lengths).
+nn::Tensor RkgeRecommender::EncodePaths(
+    const std::vector<PathInstance>& paths) const {
+  // Paths are padded to the longest by repeating the final entity (a
+  // no-op for the state that reached it: negligible at these lengths).
   size_t max_len = 0;
   for (const PathInstance& p : paths) {
     max_len = std::max(max_len, p.entities.size());
@@ -36,32 +30,29 @@ nn::Tensor RkgeRecommender::PairLogit(int32_t user, int32_t item) const {
     }
     h = gru_.Step(nn::Gather(entity_emb_, ids), h);
   }
+  return h;
+}
+
+nn::Tensor RkgeRecommender::PoolAndScore(const nn::Tensor& h) const {
   // Average-pool the final states, then FC (Eq. 19-20).
+  const size_t count = h.rows();
   nn::Tensor pooled =
-      nn::ScaleBy(nn::GroupSumRows(h, batch), 1.0f / batch);  // [1, hidden]
+      nn::ScaleBy(nn::GroupSumRows(h, count), 1.0f / count);  // [1, hidden]
   return output_.Forward(pooled);  // [1,1]
+}
+
+nn::Tensor RkgeRecommender::PairLogit(int32_t user, int32_t item) const {
+  const std::vector<PathInstance> paths = finder_->FindPaths(user, item);
+  if (paths.empty()) return no_path_bias_;
+  return PoolAndScore(EncodePaths(paths));
 }
 
 void RkgeRecommender::BuildPathIndex(const RecContext& context) {
   KGREC_CHECK(context.train != nullptr);
   KGREC_CHECK(context.user_item_graph != nullptr);
-  const InteractionDataset& train = *context.train;
   finder_ = std::make_unique<TemplatePathFinder>(
-      *context.user_item_graph, train, config_.max_paths_per_template);
-  // Precompute every user's path context in parallel (BuildUserContext is
-  // const and RNG-free, so the contexts are identical at any thread
-  // count); PairLogit then probes the index instead of rebuilding the
-  // user's attribute map for every pair in every epoch.
-  user_ctx_.resize(train.num_users());
-  const Status ctx_status = ParallelFor(
-      train.num_users(), config_.num_threads,
-      [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          user_ctx_[u] = finder_->BuildUserContext(static_cast<int32_t>(u));
-        }
-        return Status::OK();
-      });
-  KGREC_CHECK(ctx_status.ok());
+      *context.user_item_graph, *context.train,
+      config_.max_paths_per_template, config_.num_threads);
 }
 
 void RkgeRecommender::Fit(const RecContext& context) {
@@ -144,62 +135,31 @@ float RkgeRecommender::Score(int32_t user, int32_t item) const {
 std::vector<float> RkgeRecommender::ScoreItems(
     int32_t user, std::span<const int32_t> items) const {
   std::vector<float> out(items.size());
-  const TemplatePathFinder::UserPathContext ctx =
-      finder_->BuildUserContext(user);
-  std::vector<std::vector<PathInstance>> per_item(items.size());
-  // PairLogit pads every path to the pair's longest, so candidates are
-  // grouped by their own max length to keep the GRU step count — and
-  // therefore the floats — identical to the per-pair call. Template paths
-  // all have 4 entities, so in practice this is one group.
-  std::unordered_map<size_t, std::vector<size_t>> by_len;
-  for (size_t i = 0; i < items.size(); ++i) {
-    std::vector<PathInstance> paths = finder_->FindPaths(ctx, items[i]);
-    if (paths.empty()) {
-      out[i] = no_path_bias_.value();
-      continue;
+  // Chunked so the [P, hidden] GRU intermediates stay bounded. Every
+  // template path has 4 entities, so one GRU pass over many candidates'
+  // paths takes the same steps as the per-pair call.
+  constexpr size_t kChunk = 512;
+  for (size_t start = 0; start < items.size(); start += kChunk) {
+    const size_t end = std::min(items.size(), start + kChunk);
+    std::vector<PathInstance> batch_paths;
+    std::vector<size_t> counts;
+    for (size_t i = start; i < end; ++i) {
+      std::vector<PathInstance> paths = finder_->FindPaths(user, items[i]);
+      counts.push_back(paths.size());
+      std::move(paths.begin(), paths.end(), std::back_inserter(batch_paths));
     }
-    size_t max_len = 0;
-    for (const PathInstance& p : paths) {
-      max_len = std::max(max_len, p.entities.size());
-    }
-    by_len[max_len].push_back(i);
-    per_item[i] = std::move(paths);
-  }
-  for (const auto& [len, group] : by_len) {
-    // Chunked so the [P, hidden] GRU intermediates stay bounded.
-    constexpr size_t kChunk = 512;
-    for (size_t start = 0; start < group.size(); start += kChunk) {
-      const size_t chunk_end = std::min(group.size(), start + kChunk);
-      std::vector<const PathInstance*> batch_paths;
-      for (size_t g = start; g < chunk_end; ++g) {
-        for (const PathInstance& p : per_item[group[g]]) {
-          batch_paths.push_back(&p);
-        }
+    nn::Tensor h = EncodePaths(batch_paths);  // [P, hidden]
+    int32_t offset = 0;
+    for (size_t i = start; i < end; ++i) {
+      const size_t count = counts[i - start];
+      if (count == 0) {
+        out[i] = no_path_bias_.value();
+        continue;
       }
-      const size_t rows = batch_paths.size();
-      nn::Tensor h = nn::Tensor::Zeros(rows, config_.hidden_dim);
-      for (size_t step = 0; step < len; ++step) {
-        std::vector<int32_t> ids(rows);
-        for (size_t p = 0; p < rows; ++p) {
-          const auto& entities = batch_paths[p]->entities;
-          ids[p] = entities[std::min(step, entities.size() - 1)];
-        }
-        h = gru_.Step(nn::Gather(entity_emb_, ids), h);
-      }
-      size_t offset = 0;
-      for (size_t g = start; g < chunk_end; ++g) {
-        const size_t i = group[g];
-        const size_t count = per_item[i].size();
-        std::vector<int32_t> path_rows(count);
-        std::iota(path_rows.begin(), path_rows.end(),
-                  static_cast<int32_t>(offset));
-        offset += count;
-        nn::Tensor h_i = nn::Gather(h, path_rows);  // [P_i, hidden]
-        // Same mean-pool + FC as PairLogit on the same floats.
-        nn::Tensor pooled = nn::ScaleBy(nn::GroupSumRows(h_i, count),
-                                        1.0f / count);
-        out[i] = output_.Forward(pooled).value();
-      }
+      std::vector<int32_t> rows(count);
+      std::iota(rows.begin(), rows.end(), offset);
+      offset += static_cast<int32_t>(count);
+      out[i] = PoolAndScore(nn::Gather(h, rows)).value();
     }
   }
   return out;

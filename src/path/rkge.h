@@ -20,10 +20,9 @@ struct RkgeConfig {
   float learning_rate = 0.05f;
   float l2 = 1e-5f;
   size_t max_paths_per_template = 3;
-  /// Threads for the per-user path-context precompute in Fit(). Context
-  /// construction is RNG-free and FindPaths(ctx, item) is documented
-  /// bitwise-identical to FindPaths(user, item), so any value >= 1 gives
-  /// identical training — this is a pure speed knob.
+  /// Threads for the path finder's per-user index build (Fit and Load).
+  /// The build is RNG-free, so any value >= 1 gives identical paths and
+  /// training — this is a pure speed knob.
   size_t num_threads = 1;
 };
 
@@ -41,11 +40,11 @@ class RkgeRecommender : public Recommender {
   void Fit(const RecContext& context) override;
   float Score(int32_t user, int32_t item) const override;
 
-  /// Batched fast path: enumerates paths against a once-per-user
-  /// TemplatePathFinder context and encodes all candidates' paths in one
-  /// GRU pass (grouped by padded length), then mean-pools each
-  /// candidate's gathered hidden states with the same op sequence as
-  /// PairLogit — bitwise equal to Score().
+  /// Batched fast path: encodes all candidates' paths in one GRU pass
+  /// (every path has 4 entities, so the step count matches the per-pair
+  /// call), then mean-pools each candidate's gathered hidden states
+  /// through the same PoolAndScore as PairLogit — bitwise equal to
+  /// Score().
   std::vector<float> ScoreItems(int32_t user,
                                 std::span<const int32_t> items) const override;
 
@@ -53,23 +52,25 @@ class RkgeRecommender : public Recommender {
 
  protected:
   /// Stores the entity embeddings, GRU/output parameters and the no-path
-  /// bias; the path finder and per-user contexts are rebuilt on load.
+  /// bias; the path finder is rebuilt on load.
   Status VisitState(StateVisitor* visitor) override;
   Status PrepareLoad(const RecContext& context) override;
 
  private:
-  /// Rebuilds the path finder and per-user path contexts (RNG-free).
+  /// Rebuilds the path finder (RNG-free).
   void BuildPathIndex(const RecContext& context);
+
+  /// Final GRU states [P, hidden] of the paths (differentiable).
+  nn::Tensor EncodePaths(const std::vector<PathInstance>& paths) const;
+
+  /// Mean-pools one pair's path states [P, hidden] into its logit [1,1].
+  nn::Tensor PoolAndScore(const nn::Tensor& h) const;
 
   /// Scalar logit [1,1] for one pair (differentiable).
   nn::Tensor PairLogit(int32_t user, int32_t item) const;
 
   RkgeConfig config_;
   std::unique_ptr<TemplatePathFinder> finder_;
-  /// Per-user path contexts precomputed once in Fit(), so training
-  /// enumerates paths against the index instead of re-probing the user's
-  /// history for every pair in every epoch.
-  std::vector<TemplatePathFinder::UserPathContext> user_ctx_;
   nn::Tensor entity_emb_;
   nn::GruCell gru_;
   nn::Linear output_;

@@ -58,3 +58,16 @@ std::vector<int32_t> SanitizeExclude(std::span<const int32_t> exclude,
 }
 
 }  // namespace kgrec::retrieval
+
+namespace kgrec {
+
+retrieval::ItemFactors DotProductFactors::ExportItemFactors() const {
+  const retrieval::ItemFactorView table = BorrowItemFactors();
+  retrieval::ItemFactors factors;
+  factors.kernel = table.kernel;
+  factors.items = Matrix(table.rows, table.dim);
+  std::copy_n(table.data, table.rows * table.dim, factors.items.data());
+  return factors;
+}
+
+}  // namespace kgrec

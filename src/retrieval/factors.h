@@ -99,15 +99,17 @@ class DotProductFactors {
   /// Which kernel evaluates an exported (query, row) pair.
   virtual retrieval::ScoreKernel factor_kernel() const = 0;
 
-  /// Materializes the item-side factors (a copy — safe to hold after the
-  /// model is gone). Only valid after Fit()/Load().
-  virtual retrieval::ItemFactors ExportItemFactors() const = 0;
+  /// Materializes the item-side factors: a copy of BorrowItemFactors(),
+  /// safe to hold after the model is gone. Only valid after Fit()/Load().
+  /// Virtual only so a forwarding wrapper that lends no table can pass
+  /// its inner model's export through.
+  virtual retrieval::ItemFactors ExportItemFactors() const;
 
-  /// The table ExportItemFactors() copies, in place — or an empty view
-  /// (data == nullptr) when the model keeps no such table to lend. The
-  /// view is valid while the model lives unmodified, so an index built
-  /// over it must not outlive the model: ServeHandle, which owns both,
-  /// borrows it to build its exact index without a second copy.
+  /// The item table in place — or an empty view (data == nullptr) when
+  /// the model keeps no such table to lend. The view is valid while the
+  /// model lives unmodified, so an index built over it must not outlive
+  /// the model: ServeHandle, which owns both, borrows it to build its
+  /// exact index without a second copy.
   virtual retrieval::ItemFactorView BorrowItemFactors() const { return {}; }
 
   /// Writes user `user`'s query vector into `out` (size factor_dim()).

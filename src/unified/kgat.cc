@@ -226,18 +226,6 @@ std::vector<float> KgatRecommender::ScoreItems(
   return out;
 }
 
-retrieval::ItemFactors KgatRecommender::ExportItemFactors() const {
-  KGREC_CHECK(graph_ != nullptr);
-  retrieval::ItemFactors factors;
-  factors.kernel = factor_kernel();
-  factors.items = Matrix(graph_->num_items, final_emb_.cols());
-  for (int32_t item = 0; item < graph_->num_items; ++item) {
-    std::copy_n(final_emb_.Row(graph_->ItemEntity(item)), final_emb_.cols(),
-                factors.items.Row(item));
-  }
-  return factors;
-}
-
 retrieval::ItemFactorView KgatRecommender::BorrowItemFactors() const {
   // Item entities are the contiguous rows after the users'.
   if (graph_ == nullptr) return {};

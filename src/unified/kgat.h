@@ -62,7 +62,6 @@ class KgatRecommender : public Recommender, public DotProductFactors {
   retrieval::ScoreKernel factor_kernel() const override {
     return retrieval::ScoreKernel::kDot;
   }
-  retrieval::ItemFactors ExportItemFactors() const override;
   retrieval::ItemFactorView BorrowItemFactors() const override;
   void FillUserQuery(int32_t user, std::span<float> out) const override;
   size_t factor_users() const override;

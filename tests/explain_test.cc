@@ -37,6 +37,10 @@ TEST(PathFinderTest, PathsAreValidGraphWalks) {
     for (int32_t i = 0; i < 20; ++i) {
       for (const PathInstance& p : finder.FindPaths(u, i)) {
         ++total;
+        // Every template path has 4 entities: the path models batch many
+        // candidates' paths through one recurrent pass on that basis.
+        ASSERT_EQ(p.entities.size(), 4u);
+        ASSERT_EQ(p.relations.size(), 3u);
         EXPECT_EQ(p.entities.front(), f.graph.UserEntity(u));
         EXPECT_EQ(p.entities.back(), f.graph.ItemEntity(i));
         for (size_t k = 0; k < p.relations.size(); ++k) {
@@ -49,6 +53,27 @@ TEST(PathFinderTest, PathsAreValidGraphWalks) {
     }
   }
   EXPECT_GT(total, 0u);
+}
+
+TEST(PathFinderTest, PathsIdenticalAcrossThreadCounts) {
+  // The finder indexes every user's history in its constructor; the
+  // index, and so every answer, must not depend on the thread count.
+  Fixture f;
+  const TemplatePathFinder serial(f.graph, f.split.train, 3, 1);
+  for (size_t threads : {2u, 8u}) {
+    const TemplatePathFinder parallel(f.graph, f.split.train, 3, threads);
+    for (int32_t u = 0; u < f.split.train.num_users(); ++u) {
+      for (int32_t i = 0; i < f.split.train.num_items(); ++i) {
+        const std::vector<PathInstance> want = serial.FindPaths(u, i);
+        const std::vector<PathInstance> got = parallel.FindPaths(u, i);
+        ASSERT_EQ(got.size(), want.size()) << threads << " " << u << " " << i;
+        for (size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(got[k].entities, want[k].entities);
+          EXPECT_EQ(got[k].relations, want[k].relations);
+        }
+      }
+    }
+  }
 }
 
 TEST(PathFinderTest, RespectsPerTemplateCap) {

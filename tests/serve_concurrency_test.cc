@@ -5,9 +5,10 @@
 //    the const-audited serve path must be mutation-free, so TSan sees no
 //    writes at all on shared model state;
 //  * clients hammering a Router while another thread performs repeated
-//    hot swaps — no response may be lost or duplicated, and every
-//    response must be consistent with exactly one checkpoint generation
-//    (a torn response mixing two generations fails the bitwise check);
+//    hot swaps, for five model families — no response may be lost or
+//    duplicated, and every response must be consistent with exactly one
+//    checkpoint generation (a torn response mixing two generations fails
+//    the bitwise check);
 //  * the swap drain protocol — when Swap() returns, every response
 //    served by the old generation has already been delivered.
 //
@@ -134,14 +135,21 @@ TEST(ServeConcurrency, ConcurrentScoreItemsOneHandlePerFamily) {
 
 // ---- Router under hot-swap churn --------------------------------------
 
-TEST(ServeConcurrency, RouterServesUnderHotSwapChurn) {
+// One family per KG-usage column of the survey plus a CF baseline.
+class ServeConcurrencyFamily : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeConcurrencyFamily, RouterServesUnderHotSwapChurn) {
   ServeWorld& w = SharedWorld();
-  // Two MF fits under different seeds — odd generations serve A, even
+  const std::string& name = GetParam();
+  // Two fits under different seeds — odd generations serve A, even
   // generations serve B, and the two produce different floats, so a
-  // response's scores identify its generation's model exactly.
-  std::unique_ptr<Recommender> model_a = MakeRecommender("MF");
+  // response's scores identify its generation's model exactly. Every
+  // generation after the first is loaded from a checkpoint, so this also
+  // holds Fit → Save → load → serve bitwise per family.
+  std::unique_ptr<Recommender> model_a = MakeRecommender(name);
+  ASSERT_NE(model_a, nullptr) << name;
   model_a->Fit(w.Context(23));
-  std::unique_ptr<Recommender> model_b = MakeRecommender("MF");
+  std::unique_ptr<Recommender> model_b = MakeRecommender(name);
   model_b->Fit(w.Context(57));
 
   const std::vector<std::vector<int32_t>> patterns{
@@ -156,8 +164,8 @@ TEST(ServeConcurrency, RouterServesUnderHotSwapChurn) {
   ASSERT_NE(expect_a[0][0], expect_b[0][0])
       << "seeds should differentiate the fits";
 
-  const std::string path_a = TempCheckpoint("churn_a");
-  const std::string path_b = TempCheckpoint("churn_b");
+  const std::string path_a = TempCheckpoint("churn_a_" + name);
+  const std::string path_b = TempCheckpoint("churn_b_" + name);
   ASSERT_TRUE(model_a->Save(path_a).ok());
   ASSERT_TRUE(model_b->Save(path_b).ok());
 
@@ -244,6 +252,11 @@ TEST(ServeConcurrency, RouterServesUnderHotSwapChurn) {
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(Families, ServeConcurrencyFamily,
+                         ::testing::Values("MF", "CKE", "KGCN", "KPRN",
+                                           "RippleNet"),
+                         [](const auto& info) { return info.param; });
 
 // ---- Swap drain protocol ----------------------------------------------
 
